@@ -1,15 +1,16 @@
 //! Microbenchmarks of the hot paths every experiment leans on: SECDED
-//! encode/decode, TASP snooping, L-Ob transforms, and a raw simulator
-//! cycle.
+//! encode/decode, TASP snooping, L-Ob transforms, up*/down* route-table
+//! construction, and a raw simulator cycle.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use htnoc_core::prelude::*;
 use noc_ecc::{flip_bit, flip_bits, Secded};
 use noc_mitigation::LobPlan;
-use noc_sim::routing::xy_direction;
+use noc_sim::routing::{xy_direction, RouteTables};
 use noc_sim::telemetry::PHASE_LABELS;
 use noc_sim::{LinkFaults, TelemetryConfig, TrafficSource};
 use noc_traffic::{Pattern, SyntheticTraffic};
+use noc_types::Direction;
 
 fn bench_secded(c: &mut Criterion) {
     let mut g = c.benchmark_group("secded");
@@ -95,6 +96,37 @@ fn bench_lob(c: &mut Criterion) {
             })
         });
     }
+    g.finish();
+}
+
+/// Up*/down* table construction, the fault-tolerant routing layer: a
+/// degraded 4×4 mesh (what `Simulator::new` and the conformance oracle
+/// build for a degraded scenario) and an 8×8 mesh with three dead
+/// single-direction links (a mid-run quarantine reroute).
+fn bench_routing(c: &mut Criterion) {
+    let mut g = c.benchmark_group("routing");
+    let degraded = Mesh::new_degraded(
+        4,
+        4,
+        1,
+        &[(NodeId(5), Direction::East), (NodeId(9), Direction::North)],
+    );
+    g.bench_function("build_updown_4x4_degraded", |b| {
+        b.iter(|| RouteTables::build_updown(black_box(&degraded), &[]))
+    });
+    let mesh = Mesh::new(8, 8, 1);
+    let dead: Vec<LinkId> = [
+        (NodeId(27), Direction::East),
+        (NodeId(36), Direction::North),
+        (NodeId(10), Direction::West),
+    ]
+    .iter()
+    .map(|&(node, dir)| mesh.link_out(node, dir).expect("interior link"))
+    .collect();
+    assert!(RouteTables::build_updown(&mesh, &dead).is_some());
+    g.bench_function("build_updown_8x8_dead3", |b| {
+        b.iter(|| RouteTables::build_updown(black_box(&mesh), black_box(&dead)))
+    });
     g.finish();
 }
 
@@ -184,6 +216,7 @@ criterion_group!(
     bench_secded,
     bench_tasp,
     bench_lob,
+    bench_routing,
     bench_sim_cycle,
     bench_phases
 );

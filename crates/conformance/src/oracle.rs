@@ -6,10 +6,11 @@
 //! therefore be predicted exactly (or bounded provably) from a
 //! [`Scenario`] alone:
 //!
-//! * **Routing** — an independent XY walk per packet (re-implemented
-//!   here; the simulator's `routing` module is deliberately not reused),
-//!   giving the exact multiset of links each flit crosses on a clean
-//!   first pass.
+//! * **Routing** — on a plain mesh, an independent XY walk per packet
+//!   (re-implemented here; the simulator's `routing` module is
+//!   deliberately not reused); on a torus or degraded mesh, a walk of the
+//!   simulator's route tables, built once per scenario. Either gives the
+//!   exact multiset of links each flit crosses on a clean first pass.
 //! * **SECDED** — one encode per flit word; a stuck-at-one wire corrects
 //!   iff the clean codeword has that bit at zero, and never NACKs.
 //! * **TASP trojans** — an armed, zero-cooldown trojan fires a two-bit
@@ -35,6 +36,7 @@
 
 use crate::scenario::Scenario;
 use noc_ecc::Secded;
+use noc_sim::routing::{route_path, Routing};
 use noc_types::{Mesh, NodeId, PacketId, Topology};
 
 /// Per-link bound on a monotone counter.
@@ -92,15 +94,32 @@ pub struct RefSim {
 }
 
 impl RefSim {
-    /// Build the model (computes every packet's clean first-pass path:
-    /// the independent XY walk on a plain mesh, the topology route
-    /// tables on a torus or degraded mesh).
+    /// Build the model (computes every packet's clean first-pass path).
+    /// A plain mesh keeps the fully independent [`xy_walk`]; a torus or
+    /// degraded mesh walks the simulator's own deterministic route tables
+    /// ([`noc_sim::routing::route_path`]), built once per scenario — there
+    /// the prediction cross-checks fault accounting and quarantine against
+    /// the tables rather than re-deriving the routing function, which
+    /// `crates/noc`'s own property tests cover.
     pub fn new(scenario: &Scenario) -> Self {
         let mesh = scenario.mesh();
+        let routing = match mesh.topology() {
+            Topology::Mesh => None,
+            _ => Some(Routing::for_mesh(&mesh)),
+        };
         let paths = scenario
             .packets
             .iter()
-            .map(|p| clean_path(&mesh, NodeId(p.src), NodeId(p.dest)))
+            .map(|p| {
+                let (src, dest) = (NodeId(p.src), NodeId(p.dest));
+                match &routing {
+                    None => xy_walk(&mesh, src, dest),
+                    Some(r) => route_path(&mesh, r, src, dest)
+                        .iter()
+                        .map(|l| l.0)
+                        .collect(),
+                }
+            })
             .collect();
         Self {
             mesh,
@@ -312,26 +331,6 @@ impl RefSim {
     }
 }
 
-/// The links one packet crosses on a clean first pass. A plain mesh
-/// keeps the fully independent [`xy_walk`]; a torus or degraded mesh
-/// walks the simulator's own deterministic route tables
-/// ([`noc_sim::routing::route_path`]) — there the prediction cross-checks
-/// fault accounting and quarantine against the tables rather than
-/// re-deriving the routing function, which `crates/noc`'s own property
-/// tests cover.
-pub fn clean_path(mesh: &Mesh, src: NodeId, dest: NodeId) -> Vec<u16> {
-    match mesh.topology() {
-        Topology::Mesh => xy_walk(mesh, src, dest),
-        _ => {
-            let routing = noc_sim::routing::Routing::for_mesh(mesh);
-            noc_sim::routing::route_path(mesh, &routing, src, dest)
-                .into_iter()
-                .map(|l| l.0)
-                .collect()
-        }
-    }
-}
-
 /// Dimension-order walk from `src` to `dest`: all X hops, then all Y
 /// hops. Implemented from the paper's description, independently of
 /// `noc_sim::routing`, so a routing bug in either shows as a divergence.
@@ -426,6 +425,44 @@ mod tests {
                         .collect();
                     assert_eq!(ours, theirs, "{w}x{h} {s}->{d}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn per_scenario_tables_match_fresh_per_pair_paths() {
+        use crate::scenario::{TOPOLOGY_DEGRADED, TOPOLOGY_MESH, TOPOLOGY_TORUS};
+        for family in [TOPOLOGY_MESH, TOPOLOGY_TORUS, TOPOLOGY_DEGRADED] {
+            for seed in 0..500 {
+                let sc = Scenario::generate_in(seed, Some(family));
+                let mesh = sc.mesh();
+                // A fresh routing function for every packet.
+                let fresh: Vec<Vec<u16>> = sc
+                    .packets
+                    .iter()
+                    .map(|p| {
+                        let (src, dest) = (NodeId(p.src), NodeId(p.dest));
+                        match mesh.topology() {
+                            Topology::Mesh => xy_walk(&mesh, src, dest),
+                            _ => route_path(&mesh, &Routing::for_mesh(&mesh), src, dest)
+                                .iter()
+                                .map(|l| l.0)
+                                .collect(),
+                        }
+                    })
+                    .collect();
+                let rs = RefSim::new(&sc);
+                assert_eq!(rs.paths, fresh, "family {family} seed {seed}");
+                let reference = RefSim {
+                    mesh,
+                    scenario: sc.clone(),
+                    paths: fresh,
+                };
+                assert_eq!(
+                    rs.expectation(),
+                    reference.expectation(),
+                    "family {family} seed {seed}"
+                );
             }
         }
     }

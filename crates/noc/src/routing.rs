@@ -531,6 +531,13 @@ impl RouteTables {
     /// path, then `f(r) ≤ 1 + f(n) < 1 + h(n) = h(r) = f(r)` — a
     /// contradiction — so `n` continues downward too.
     ///
+    /// Every table hop lowers `f` by exactly one — an up hop goes to a
+    /// neighbour with `f − 1`, and a down hop keeps `f == h` by the
+    /// argument above — so the walked length of every route is `f(src)`,
+    /// and an orientation's total path length is Σ `f`, summed inside the
+    /// DP instead of re-walking all n² routes. The alive adjacency is
+    /// tabulated once per call, and every root reuses the same buffers.
+    ///
     /// Returns `None` when some pair has no legal path (e.g. `dead`
     /// disconnects the mesh).
     pub fn build_updown(mesh: &Mesh, dead: &[LinkId]) -> Option<Self> {
@@ -538,143 +545,43 @@ impl RouteTables {
         // infeasible for a given asymmetric failure set even though
         // another one routes it (a node whose only alive exits point
         // "down" can never climb). Try every root and keep the feasible
-        // orientation with the smallest total path length.
-        (0..mesh.routers() as u16)
-            .filter_map(|root| {
-                let t = Self::build_updown_rooted(mesh, dead, NodeId(root))?;
-                let total: u32 = (0..mesh.routers() as u16)
-                    .flat_map(|s| {
-                        (0..mesh.routers() as u16)
-                            .filter_map(move |d| Some((s, d)).filter(|(s, d)| s != d))
-                    })
-                    .map(|(s, d)| {
-                        t.path_len(mesh, NodeId(s), NodeId(d))
-                            .unwrap_or(u32::MAX / 256)
-                    })
-                    .sum();
-                Some((total, t))
-            })
-            .min_by_key(|(total, _)| *total)
-            .map(|(_, t)| t)
+        // orientation with the smallest total path length — the first
+        // one on a tie, so a root is abandoned as soon as its partial
+        // total plus a floor under the remaining destinations reaches the
+        // best total so far.
+        let mut b = UpDown::new(mesh, dead);
+        let mut best: Option<(u32, Self)> = None;
+        for root in 0..mesh.routers() as u16 {
+            let bound = best.as_ref().map_or(u32::MAX, |(total, _)| *total);
+            let Some(total) = b.route_rooted(NodeId(root), bound) else {
+                continue;
+            };
+            let tables = Self {
+                next: b.next.clone(),
+            };
+            debug_assert_eq!(total, tables.walked_total(mesh), "Σ f is the walked total");
+            debug_assert!({
+                let n = mesh.routers() as u16;
+                let up = |a: NodeId, c: NodeId| b.rank[c.index()] < b.rank[a.index()];
+                (0..n)
+                    .all(|s| (0..n).all(|d| tables.walk_is_legal(mesh, NodeId(s), NodeId(d), &up)))
+            });
+            best = Some((total, tables));
+        }
+        best.map(|(_, t)| t)
     }
 
-    /// One up*/down* construction attempt with a fixed orientation root.
-    fn build_updown_rooted(mesh: &Mesh, dead: &[LinkId], root: NodeId) -> Option<Self> {
-        let n = mesh.routers();
-        let alive = |r: NodeId, dir: Direction| -> Option<NodeId> {
-            let l = mesh.link_out(r, dir)?;
-            if dead.contains(&l) {
-                return None;
-            }
-            mesh.neighbor(r, dir)
-        };
-        // Levels over the undirected union graph (either direction alive).
-        let mut level = vec![u32::MAX; n];
-        let mut q = VecDeque::new();
-        level[root.index()] = 0;
-        q.push_back(root);
-        while let Some(at) = q.pop_front() {
-            for dir in Direction::ALL {
-                let Some(nb) = mesh.neighbor(at, dir) else {
-                    continue;
-                };
-                let fwd = alive(at, dir).is_some();
-                let rev = alive(nb, dir.opposite()).is_some();
-                if (fwd || rev) && level[nb.index()] == u32::MAX {
-                    level[nb.index()] = level[at.index()] + 1;
-                    q.push_back(nb);
-                }
-            }
-        }
-        if level.contains(&u32::MAX) {
-            return None;
-        }
-        let order = |r: NodeId| (level[r.index()], r.0);
-        // Process nodes in ascending order so `f` of up-neighbours (which
-        // are strictly smaller in the order) is final before it is used.
-        let mut by_order: Vec<NodeId> = (0..n as u16).map(NodeId).collect();
-        by_order.sort_by_key(|r| order(*r));
-
-        let mut next = vec![vec![None::<Direction>; n]; n];
-        for dest in 0..n {
-            let d = NodeId(dest as u16);
-            // h: shortest all-down distance to d — BFS from d over
-            // *reversed* down-links (r→nb is down iff order(nb) > order(r)).
-            let mut h = vec![u32::MAX; n];
-            h[dest] = 0;
-            let mut q = VecDeque::new();
-            q.push_back(d);
-            while let Some(at) = q.pop_front() {
-                for dir in Direction::ALL {
-                    // Predecessor r with a down-link r→at.
-                    let Some(r) = mesh.neighbor(at, dir) else {
-                        continue;
-                    };
-                    if alive(r, dir.opposite()) != Some(at) {
-                        continue;
-                    }
-                    if order(at) > order(r) && h[r.index()] == u32::MAX {
-                        h[r.index()] = h[at.index()] + 1;
-                        q.push_back(r);
-                    }
-                }
-            }
-            // f: shortest legal distance, by DP in ascending node order
-            // (up-neighbours are smaller, so their f is already final).
-            let mut f = vec![u32::MAX; n];
-            f[dest] = 0;
-            for r in &by_order {
-                if *r == d {
-                    continue;
-                }
-                let mut best = h[r.index()];
-                for dir in Direction::ALL {
-                    if let Some(nb) = alive(*r, dir) {
-                        if order(nb) < order(*r) && f[nb.index()] != u32::MAX {
-                            best = best.min(1 + f[nb.index()]);
-                        }
-                    }
-                }
-                f[r.index()] = best;
-            }
-            for src in 0..n {
-                if src == dest {
-                    continue;
-                }
-                let r = NodeId(src as u16);
-                let fr = f[src];
-                if fr == u32::MAX {
-                    return None; // no legal path
-                }
-                let pick = if fr == h[src] {
-                    // Continue the all-down path.
-                    Direction::ALL.iter().copied().find(|dir| {
-                        alive(r, *dir).is_some_and(|nb| {
-                            order(nb) > order(r)
-                                && h[nb.index()] != u32::MAX
-                                && 1 + h[nb.index()] == h[src]
-                        })
-                    })
-                } else {
-                    // Climb toward the best legal distance.
-                    Direction::ALL.iter().copied().find(|dir| {
-                        alive(r, *dir).is_some_and(|nb| {
-                            order(nb) < order(r)
-                                && f[nb.index()] != u32::MAX
-                                && 1 + f[nb.index()] == fr
-                        })
-                    })
-                };
-                next[src][dest] = Some(pick.expect("finite f implies a witness hop"));
-            }
-        }
-        let tables = Self { next };
-        debug_assert!((0..n as u16).all(|s| {
-            (0..n as u16).all(|dd| {
-                tables.walk_is_legal(mesh, NodeId(s), NodeId(dd), &|a, b| order(b) < order(a))
+    /// Total walked path length over every ordered pair — the root score
+    /// [`RouteTables::build_updown`] computes as Σ `f` instead.
+    fn walked_total(&self, mesh: &Mesh) -> u32 {
+        let n = mesh.routers() as u16;
+        (0..n)
+            .flat_map(|s| (0..n).filter(move |&d| d != s).map(move |d| (s, d)))
+            .map(|(s, d)| {
+                self.path_len(mesh, NodeId(s), NodeId(d))
+                    .unwrap_or(u32::MAX / 256)
             })
-        }));
-        Some(tables)
+            .sum()
     }
 
     /// Check one route walk: terminates within `n` hops and never takes an
@@ -730,6 +637,207 @@ impl RouteTables {
             }
         }
         Some(hops)
+    }
+}
+
+/// The up*/down* builder's working set for one [`RouteTables::build_updown`]
+/// call: the alive adjacency, hoisted out of the per-root loops, and the
+/// per-root and per-destination buffers every root reuses.
+struct UpDown {
+    /// `out[r][k]`: the neighbour `r` reaches over its alive
+    /// `Direction::ALL[k]` link.
+    out: Vec<[Option<NodeId>; 4]>,
+    /// `inbound[r][k]`: the neighbour in `Direction::ALL[k]` whose alive
+    /// link leads back into `r`.
+    inbound: Vec<[Option<NodeId>; 4]>,
+    /// BFS level from the current root over the undirected alive graph.
+    level: Vec<u32>,
+    /// Routers sorted by `(level, id)`, and each router's position in
+    /// that order: a hop `r → nb` is *up* iff `rank[nb] < rank[r]`.
+    by_order: Vec<NodeId>,
+    rank: Vec<u32>,
+    /// Shortest all-down (`h`) and legal (`f`) distance to the current
+    /// destination.
+    h: Vec<u32>,
+    f: Vec<u32>,
+    queue: VecDeque<NodeId>,
+    /// The current root's `next[router][dest]` table.
+    next: Vec<Vec<Option<Direction>>>,
+    /// `floor[d]`: Σ over destinations `d' ≥ d` of every router's
+    /// shortest alive distance to `d'` — a root-independent lower bound
+    /// on what those destinations add to any orientation's Σ `f`.
+    floor: Vec<u32>,
+}
+
+impl UpDown {
+    fn new(mesh: &Mesh, dead: &[LinkId]) -> Self {
+        let n = mesh.routers();
+        let alive = |r: NodeId, dir: Direction| -> Option<NodeId> {
+            let l = mesh.link_out(r, dir)?;
+            if dead.contains(&l) {
+                return None;
+            }
+            mesh.neighbor(r, dir)
+        };
+        let nodes = || (0..n as u16).map(NodeId);
+        let inbound: Vec<[Option<NodeId>; 4]> = nodes()
+            .map(|r| {
+                Direction::ALL.map(|dir| {
+                    mesh.neighbor(r, dir)
+                        .filter(|&nb| alive(nb, dir.opposite()) == Some(r))
+                })
+            })
+            .collect();
+        // Unrestricted shortest distances into each destination (BFS over
+        // reversed alive links), summed from the last destination back.
+        let mut floor = vec![0u32; n];
+        let mut dist = vec![u32::MAX; n];
+        let mut queue = VecDeque::with_capacity(n);
+        let mut rest = 0u32;
+        for d in (0..n).rev() {
+            dist.fill(u32::MAX);
+            dist[d] = 0;
+            queue.push_back(NodeId(d as u16));
+            while let Some(at) = queue.pop_front() {
+                for r in inbound[at.index()].into_iter().flatten() {
+                    if dist[r.index()] == u32::MAX {
+                        dist[r.index()] = dist[at.index()] + 1;
+                        rest += dist[r.index()];
+                        queue.push_back(r);
+                    }
+                }
+            }
+            floor[d] = rest;
+        }
+        Self {
+            out: nodes()
+                .map(|r| Direction::ALL.map(|dir| alive(r, dir)))
+                .collect(),
+            inbound,
+            level: vec![u32::MAX; n],
+            by_order: nodes().collect(),
+            rank: vec![0; n],
+            h: dist,
+            f: vec![u32::MAX; n],
+            queue,
+            next: vec![vec![None; n]; n],
+            floor,
+        }
+    }
+
+    /// One up*/down* construction with a fixed orientation root, written
+    /// into `self.next`. Returns the orientation's total path length Σ `f`,
+    /// or `None` when some pair has no legal path or the total cannot stay
+    /// below `bound`.
+    fn route_rooted(&mut self, root: NodeId, bound: u32) -> Option<u32> {
+        let Self {
+            out,
+            inbound,
+            level,
+            by_order,
+            rank,
+            h,
+            f,
+            queue,
+            next,
+            floor,
+        } = self;
+        let n = out.len();
+        // Levels over the undirected union graph (either direction alive).
+        level.fill(u32::MAX);
+        level[root.index()] = 0;
+        queue.push_back(root);
+        while let Some(at) = queue.pop_front() {
+            for k in 0..4 {
+                let Some(nb) = out[at.index()][k].or(inbound[at.index()][k]) else {
+                    continue;
+                };
+                if level[nb.index()] == u32::MAX {
+                    level[nb.index()] = level[at.index()] + 1;
+                    queue.push_back(nb);
+                }
+            }
+        }
+        if level.contains(&u32::MAX) {
+            return None;
+        }
+        // Process nodes in ascending order so `f` of up-neighbours (which
+        // are strictly smaller in the order) is final before it is used.
+        by_order.sort_unstable_by_key(|r| (level[r.index()], r.0));
+        for (i, r) in by_order.iter().enumerate() {
+            rank[r.index()] = i as u32;
+        }
+
+        let mut total = 0u32;
+        for dest in 0..n {
+            if total + floor[dest] >= bound {
+                return None;
+            }
+            let d = NodeId(dest as u16);
+            // h: shortest all-down distance to d — BFS from d over
+            // *reversed* down-links (r→nb is down iff rank[nb] > rank[r]).
+            h.fill(u32::MAX);
+            h[dest] = 0;
+            queue.push_back(d);
+            while let Some(at) = queue.pop_front() {
+                // Predecessors r with a down-link r→at.
+                for r in inbound[at.index()].into_iter().flatten() {
+                    if rank[at.index()] > rank[r.index()] && h[r.index()] == u32::MAX {
+                        h[r.index()] = h[at.index()] + 1;
+                        queue.push_back(r);
+                    }
+                }
+            }
+            // f: shortest legal distance, by DP in ascending node order
+            // (up-neighbours are smaller, so their f is already final).
+            f.fill(u32::MAX);
+            f[dest] = 0;
+            for r in by_order.iter() {
+                if *r == d {
+                    continue;
+                }
+                let mut best = h[r.index()];
+                for nb in out[r.index()].into_iter().flatten() {
+                    if rank[nb.index()] < rank[r.index()] && f[nb.index()] != u32::MAX {
+                        best = best.min(1 + f[nb.index()]);
+                    }
+                }
+                f[r.index()] = best;
+            }
+            for src in 0..n {
+                if src == dest {
+                    continue;
+                }
+                let fr = f[src];
+                if fr == u32::MAX {
+                    return None; // no legal path
+                }
+                total += fr;
+                let exits = out[src];
+                let pick = if fr == h[src] {
+                    // Continue the all-down path.
+                    (0..4).find(|&k| {
+                        exits[k].is_some_and(|nb| {
+                            rank[nb.index()] > rank[src]
+                                && h[nb.index()] != u32::MAX
+                                && 1 + h[nb.index()] == h[src]
+                        })
+                    })
+                } else {
+                    // Climb toward the best legal distance.
+                    (0..4).find(|&k| {
+                        exits[k].is_some_and(|nb| {
+                            rank[nb.index()] < rank[src]
+                                && f[nb.index()] != u32::MAX
+                                && 1 + f[nb.index()] == fr
+                        })
+                    })
+                };
+                let k = pick.expect("finite f implies a witness hop");
+                next[src][dest] = Some(Direction::ALL[k]);
+            }
+        }
+        (total < bound).then_some(total)
     }
 }
 
@@ -911,9 +1019,12 @@ mod tests {
         // Find the first feasible orientation root (same scan order as the
         // public builder) so the legality check below can recompute
         // exactly the order the builder used.
+        let mut b = UpDown::new(&m, &dead);
         let (root, t) = (0..16u16)
             .find_map(|r| {
-                RouteTables::build_updown_rooted(&m, &dead, NodeId(r)).map(|t| (NodeId(r), t))
+                b.route_rooted(NodeId(r), u32::MAX)?;
+                let next = b.next.clone();
+                Some((NodeId(r), RouteTables { next }))
             })
             .expect("some orientation must route this mild failure set");
         assert_walks_sound(&m, &t, &dead);
@@ -964,6 +1075,75 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The Σ `path_len` root scorer: build every feasible orientation in
+    /// full, walk all n² routes, keep the first minimum.
+    fn build_updown_reference(mesh: &Mesh, dead: &[LinkId]) -> Option<RouteTables> {
+        let mut b = UpDown::new(mesh, dead);
+        (0..mesh.routers() as u16)
+            .filter_map(|root| {
+                b.route_rooted(NodeId(root), u32::MAX)?;
+                let t = RouteTables {
+                    next: b.next.clone(),
+                };
+                Some((t.walked_total(mesh), t))
+            })
+            .min_by_key(|(total, _)| *total)
+            .map(|(_, t)| t)
+    }
+
+    #[test]
+    fn updown_dp_scoring_matches_the_walked_reference() {
+        // Deterministic xorshift stream of degraded meshes (4×4 to 8×8,
+        // concentration 1/2/4) with random single-direction dead links.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut rand = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let (mut routed, mut with_infeasible_root) = (0, 0);
+        for case in 0..48 {
+            let (w, h) = (4 + rand(5) as u8, 4 + rand(5) as u8);
+            let c = [1u8, 2, 4][rand(3) as usize];
+            let base = Mesh::new(w, h, c);
+            let removed: Vec<(NodeId, Direction)> = (0..1 + rand(3))
+                .map(|_| {
+                    let node = NodeId(rand(base.routers() as u64) as u16);
+                    let dir = [Direction::East, Direction::North][rand(2) as usize];
+                    (node, dir)
+                })
+                .filter(|&(node, dir)| base.neighbor(node, dir).is_some())
+                .collect();
+            let mesh = Mesh::new_degraded(w, h, c, &removed);
+            if !mesh.connected() {
+                continue;
+            }
+            let dead: Vec<LinkId> = (0..rand(6))
+                .map(|_| LinkId(rand(mesh.links() as u64) as u16))
+                .collect();
+            let got = RouteTables::build_updown(&mesh, &dead);
+            assert_eq!(
+                got,
+                build_updown_reference(&mesh, &dead),
+                "case {case}: {w}x{h}x{c}, removed {removed:?}, dead {dead:?}"
+            );
+            if got.is_some() {
+                routed += 1;
+                let mut b = UpDown::new(&mesh, &dead);
+                let n = mesh.routers() as u16;
+                if (0..n).any(|r| b.route_rooted(NodeId(r), u32::MAX).is_none()) {
+                    with_infeasible_root += 1;
+                }
+            }
+        }
+        assert!(routed >= 24, "only {routed} routable cases");
+        assert!(
+            with_infeasible_root > 0,
+            "no case exercised an infeasible orientation root"
+        );
     }
 
     #[test]

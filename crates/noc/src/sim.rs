@@ -110,6 +110,10 @@ impl TrafficSource for NoTraffic {
 /// ```
 pub struct Simulator {
     pub(crate) cfg: SimConfig,
+    /// [`crate::snapshot::config_hash`] of `cfg`, computed once: `cfg`
+    /// never changes after construction, and snapshot/restore need it on
+    /// every call. Derived state — never serialized.
+    pub(crate) config_hash: u64,
     pub(crate) mesh: Mesh,
     pub(crate) routing: Routing,
     /// Version counter for `routing`, bumped wherever the routing
@@ -267,6 +271,7 @@ impl Simulator {
             .collect();
         let orders = crate::par::link_orders(&plans, n_links);
         Self {
+            config_hash: crate::snapshot::config_hash(&cfg),
             cfg,
             mesh,
             routing,

@@ -2262,7 +2262,7 @@ impl Simulator {
     pub fn snapshot(&self) -> SimSnapshot {
         SimSnapshot {
             payload: encode_sim(self),
-            config_hash: config_hash(&self.cfg),
+            config_hash: self.config_hash,
             cycle: self.cycle,
             user_data: Vec::new(),
         }
@@ -2282,7 +2282,7 @@ impl Simulator {
     /// decode mutates in place): discard it and rebuild — which is what
     /// [`Checkpointer::load_latest`]-driven resume loops do anyway.
     pub fn restore(&mut self, snap: &SimSnapshot) -> Result<(), SnapshotError> {
-        let expected = config_hash(&self.cfg);
+        let expected = self.config_hash;
         if snap.config_hash != expected {
             return Err(SnapshotError::ConfigMismatch {
                 found: snap.config_hash,
@@ -2586,6 +2586,20 @@ mod tests {
             config_hash(&SimConfig::paper()),
             config_hash(&SimConfig::paper_unprotected())
         );
+    }
+
+    #[test]
+    fn cached_config_hash_equals_a_recomputation() {
+        let mut cfg = SimConfig::paper_unprotected();
+        cfg.mesh = noc_types::Mesh::new_degraded(4, 4, 1, &[(NodeId(5), Direction::East)]);
+        cfg.threads = Some(2);
+        let mut sim = Simulator::new(cfg);
+        assert_eq!(sim.config_hash, config_hash(&sim.cfg));
+        for threads in [1, 4] {
+            sim.set_threads(threads);
+            assert_eq!(sim.config_hash, config_hash(&sim.cfg));
+            assert_eq!(sim.snapshot().config_hash(), config_hash(&sim.cfg));
+        }
     }
 
     #[test]
