@@ -47,6 +47,8 @@ pub mod router;
 pub mod routing;
 pub mod sim;
 pub mod snapshot;
+#[cfg(test)]
+mod snapshot_golden;
 pub mod stats;
 pub mod telemetry;
 pub mod trace;
