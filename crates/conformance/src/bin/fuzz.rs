@@ -31,8 +31,8 @@ use htnoc_conformance::{
     TOPOLOGY_MESH, TOPOLOGY_TORUS,
 };
 use noc_sim::config::Sabotage;
-use noc_sim::snapshot::{crc64, put_u64, take_u64};
-use noc_sim::TelemetryOut;
+use noc_sim::snapshot::crc64;
+use noc_sim::{Reader, TelemetryOut, Writer};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -80,23 +80,15 @@ fn progress_path(dir: &Path) -> PathBuf {
 
 /// Atomically persist progress (temp sibling + fsync + rename).
 fn save_progress(dir: &Path, p: &Progress) -> std::io::Result<()> {
-    use std::io::Write;
     std::fs::create_dir_all(dir)?;
-    let mut payload = Vec::new();
-    put_u64(&mut payload, p.next_seed);
-    put_u64(&mut payload, p.ran);
+    let mut w = Writer::default();
+    w.put(&mut (p.next_seed, p.ran));
+    let payload = w.into_bytes();
     let mut bytes = Vec::with_capacity(16 + payload.len());
     bytes.extend_from_slice(PROGRESS_MAGIC);
     bytes.extend_from_slice(&crc64(&payload).to_le_bytes());
     bytes.extend_from_slice(&payload);
-    let path = progress_path(dir);
-    let tmp = path.with_extension("tmp");
-    {
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(&bytes)?;
-        file.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
+    noc_sim::telemetry::write_atomic(&progress_path(dir), &bytes)
 }
 
 /// Load persisted progress; `None` when absent or corrupt (start fresh).
@@ -107,10 +99,10 @@ fn load_progress(dir: &Path) -> Option<Progress> {
     if crc64(payload) != u64::from_le_bytes(crc_bytes.try_into().ok()?) {
         return None;
     }
-    let mut input = payload;
-    let next_seed = take_u64(&mut input)?;
-    let ran = take_u64(&mut input)?;
-    input.is_empty().then_some(Progress { next_seed, ran })
+    let mut r = Reader::new(payload);
+    let (next_seed, ran) = r.get().ok()?;
+    r.finish().ok()?;
+    Some(Progress { next_seed, ran })
 }
 
 /// Parse `--sabotage` specs: `stall-sa:R`, `leak-credit:N`, `overcount:N`,

@@ -730,14 +730,15 @@ impl TrafficSource for ReplaySource {
         }
     }
 
-    fn save_cursor(&self, out: &mut Vec<u8>) {
-        noc_sim::snapshot::put_u64(out, self.next as u64);
+    fn save_cursor(&mut self, w: &mut noc_sim::Writer) {
+        w.put(&mut self.next);
     }
 
-    fn load_cursor(&mut self, input: &mut &[u8]) {
-        if let Some(next) = noc_sim::snapshot::take_u64(input) {
-            self.next = (next as usize).min(self.packets.len());
-        }
+    fn load_cursor(&mut self, r: &mut noc_sim::Reader<'_>) -> Result<(), noc_sim::SnapshotError> {
+        use noc_sim::Persist;
+        self.next.persist(r)?;
+        self.next = self.next.min(self.packets.len());
+        Ok(())
     }
 }
 

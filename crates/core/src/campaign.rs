@@ -684,7 +684,7 @@ impl CheckpointOpts {
 /// simulated crash); otherwise the report, which matches
 /// [`trojan_flood`] for the same seed exactly.
 pub fn trojan_flood_checkpointed(seed: u64, opts: &CheckpointOpts) -> Option<ScenarioReport> {
-    use noc_sim::snapshot::{encode_stall_report, put_u64, Checkpointer};
+    use noc_sim::{Checkpointer, Persist, Reader, Writer};
 
     const ARM_AT: u64 = 200;
     const MAX_CYCLES: u64 = 20_000;
@@ -716,27 +716,26 @@ pub fn trojan_flood_checkpointed(seed: u64, opts: &CheckpointOpts) -> Option<Sce
     let ck = Checkpointer::new(&opts.dir, opts.keep);
     if opts.resume {
         if let Some((path, snap)) = ck.load_latest().expect("checkpoint dir must be readable") {
+            // `user_data` holds the stall log, then the traffic cursor.
+            let mut ud = Reader::new(snap.user_data());
             sim.restore(&snap)
+                .and_then(|()| stalls.persist(&mut ud))
+                .and_then(|()| traffic.load_cursor(&mut ud))
+                .and_then(|()| ud.finish())
                 .unwrap_or_else(|e| panic!("resume from {} failed: {e}", path.display()));
-            let mut ud = snap.user_data();
-            stalls = decode_stall_log(&mut ud)
-                .unwrap_or_else(|| panic!("corrupt stall log in {}", path.display()));
-            traffic.load_cursor(&mut ud);
         }
     }
 
-    let save = |sim: &Simulator, traffic: &SyntheticTraffic, stalls: &[StallReport]| {
-        let mut snap = sim.snapshot();
-        let mut ud = Vec::new();
-        put_u64(&mut ud, stalls.len() as u64);
-        for s in stalls {
-            encode_stall_report(&mut ud, s);
-        }
-        traffic.save_cursor(&mut ud);
-        snap.set_user_data(ud);
-        ck.save(&snap)
-            .unwrap_or_else(|e| panic!("checkpoint save failed: {e}"));
-    };
+    let save =
+        |sim: &mut Simulator, traffic: &mut SyntheticTraffic, stalls: &mut Vec<StallReport>| {
+            let mut snap = sim.snapshot();
+            let mut ud = Writer::default();
+            ud.put(stalls);
+            traffic.save_cursor(&mut ud);
+            snap.set_user_data(ud.into_bytes());
+            ck.save(&snap)
+                .unwrap_or_else(|e| panic!("checkpoint save failed: {e}"));
+        };
 
     let mut drained = false;
     while sim.cycle() < MAX_CYCLES {
@@ -748,7 +747,7 @@ pub fn trojan_flood_checkpointed(seed: u64, opts: &CheckpointOpts) -> Option<Sce
             sim.arm_trojans(true);
         }
         if opts.every > 0 && now > 0 && now.is_multiple_of(opts.every) {
-            save(&sim, &traffic, &stalls);
+            save(&mut sim, &mut traffic, &mut stalls);
         }
         if opts.halt_at.is_some_and(|h| now >= h) {
             return None;
@@ -799,18 +798,6 @@ pub fn trojan_flood_checkpointed(seed: u64, opts: &CheckpointOpts) -> Option<Sce
         "the diagnosis must lead to a quarantine"
     );
     Some(rep)
-}
-
-/// Decode the stall log that [`trojan_flood_checkpointed`] stores at the
-/// front of the snapshot `user_data`, advancing `input` past it.
-fn decode_stall_log(input: &mut &[u8]) -> Option<Vec<StallReport>> {
-    use noc_sim::snapshot::{decode_stall_report, take_u64};
-    let n = take_u64(input)?;
-    let mut stalls = Vec::with_capacity(n.min(1 << 16) as usize);
-    for _ in 0..n {
-        stalls.push(decode_stall_report(input)?);
-    }
-    Some(stalls)
 }
 
 /// Run every scenario on seeds derived from `seed`. Each scenario panics

@@ -96,12 +96,12 @@ impl<S: TrafficSource> TrafficSource for E2eObfuscation<S> {
 
     // The scrambling key is construction state, not progress: the cursor
     // is exactly the inner source's.
-    fn save_cursor(&self, out: &mut Vec<u8>) {
-        self.inner.save_cursor(out);
+    fn save_cursor(&mut self, w: &mut noc_sim::Writer) {
+        self.inner.save_cursor(w);
     }
 
-    fn load_cursor(&mut self, input: &mut &[u8]) {
-        self.inner.load_cursor(input);
+    fn load_cursor(&mut self, r: &mut noc_sim::Reader<'_>) -> Result<(), noc_sim::SnapshotError> {
+        self.inner.load_cursor(r)
     }
 }
 

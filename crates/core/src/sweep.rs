@@ -8,7 +8,6 @@
 //! no per-item locks, no channels.
 
 use std::cell::UnsafeCell;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Chunk inbox for the workers. Each slot is taken exactly once, by
@@ -153,103 +152,6 @@ where
     results
 }
 
-/// Magic prefix of a per-item sweep result file.
-const RESULT_MAGIC: &[u8; 8] = b"NOCRES\0\0";
-
-/// Crash-safe variant of [`par_map`]: each item's result is persisted to
-/// `dir/item-NNNNNN.res` (checksummed, written atomically) the moment it
-/// is computed, and items whose result file already parses are **not**
-/// recomputed on a rerun. Kill the sweep at any point and run it again
-/// with the same items and directory: only the missing tail is redone.
-///
-/// `encode`/`decode` serialize one result; `decode` returning `None`
-/// marks the file corrupt (truncated write, bad checksum survives the CRC
-/// only if `decode` rejects it), and that item is recomputed.
-pub fn par_map_checkpointed<T, R, F>(
-    items: Vec<T>,
-    threads: Option<usize>,
-    dir: &Path,
-    encode: impl Fn(&R) -> Vec<u8> + Sync,
-    decode: impl Fn(&mut &[u8]) -> Option<R> + Sync,
-    f: F,
-) -> std::io::Result<Vec<R>>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    std::fs::create_dir_all(dir)?;
-    let mut done: Vec<Option<R>> = Vec::with_capacity(items.len());
-    let mut todo: Vec<(usize, T)> = Vec::new();
-    for (i, item) in items.into_iter().enumerate() {
-        match read_result(&result_path(dir, i), &decode) {
-            Some(r) => done.push(Some(r)),
-            None => {
-                done.push(None);
-                todo.push((i, item));
-            }
-        }
-    }
-    let computed = par_map(todo, threads, |(i, item)| {
-        let r = f(item);
-        // Persist before handing the result back: a crash after this
-        // point costs nothing, a crash before it re-runs only this item.
-        write_result(&result_path(dir, i), &encode(&r))
-            .map(|()| (i, r))
-            .map_err(|e| (i, e))
-    });
-    for c in computed {
-        match c {
-            Ok((i, r)) => done[i] = Some(r),
-            Err((i, e)) => {
-                return Err(std::io::Error::new(
-                    e.kind(),
-                    format!("persisting sweep item {i}: {e}"),
-                ))
-            }
-        }
-    }
-    Ok(done
-        .into_iter()
-        .map(|r| r.expect("every item resumed or computed"))
-        .collect())
-}
-
-fn result_path(dir: &Path, index: usize) -> PathBuf {
-    dir.join(format!("item-{index:06}.res"))
-}
-
-/// Parse a persisted result; `None` on any corruption (recompute).
-fn read_result<R>(path: &Path, decode: &(impl Fn(&mut &[u8]) -> Option<R> + Sync)) -> Option<R> {
-    let bytes = std::fs::read(path).ok()?;
-    let body = bytes.strip_prefix(RESULT_MAGIC)?;
-    let (crc_bytes, payload) = body.split_at_checked(8)?;
-    let crc = u64::from_le_bytes(crc_bytes.try_into().ok()?);
-    if noc_sim::snapshot::crc64(payload) != crc {
-        return None;
-    }
-    let mut input = payload;
-    let r = decode(&mut input)?;
-    input.is_empty().then_some(r)
-}
-
-/// Atomically persist one result: temp sibling + fsync + rename, so a
-/// crash mid-write leaves either no file or a complete one.
-fn write_result(path: &Path, payload: &[u8]) -> std::io::Result<()> {
-    use std::io::Write;
-    let mut bytes = Vec::with_capacity(16 + payload.len());
-    bytes.extend_from_slice(RESULT_MAGIC);
-    bytes.extend_from_slice(&noc_sim::snapshot::crc64(payload).to_le_bytes());
-    bytes.extend_from_slice(payload);
-    let tmp = path.with_extension("tmp");
-    {
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(&bytes)?;
-        file.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,65 +207,6 @@ mod tests {
             LIVE.fetch_sub(1, Ordering::SeqCst);
         });
         assert!(PEAK.load(Ordering::SeqCst) >= 2, "no observed overlap");
-    }
-
-    fn scratch_dir(tag: &str) -> PathBuf {
-        use std::sync::atomic::AtomicU64;
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let n = SEQ.fetch_add(1, Ordering::Relaxed);
-        let dir =
-            std::env::temp_dir().join(format!("htnoc-sweep-{}-{tag}-{n}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
-    fn enc(r: &u64) -> Vec<u8> {
-        r.to_le_bytes().to_vec()
-    }
-
-    fn dec(input: &mut &[u8]) -> Option<u64> {
-        noc_sim::snapshot::take_u64(input)
-    }
-
-    #[test]
-    fn checkpointed_sweep_resumes_without_recomputing() {
-        let dir = scratch_dir("resume");
-        let calls = AtomicUsize::new(0);
-        let run = |items: Vec<u64>| {
-            par_map_checkpointed(items, Some(4), &dir, enc, dec, |x| {
-                calls.fetch_add(1, Ordering::SeqCst);
-                x * x
-            })
-            .unwrap()
-        };
-        let expect: Vec<u64> = (0..40).map(|x| x * x).collect();
-        assert_eq!(run((0..40).collect()), expect);
-        assert_eq!(calls.load(Ordering::SeqCst), 40);
-        // Second pass over the same directory: every result is replayed
-        // from disk, nothing recomputes.
-        assert_eq!(run((0..40).collect()), expect);
-        assert_eq!(calls.load(Ordering::SeqCst), 40);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn checkpointed_sweep_recomputes_corrupt_results() {
-        let dir = scratch_dir("corrupt");
-        let first =
-            par_map_checkpointed((0..8).collect(), Some(2), &dir, enc, dec, |x: u64| x + 100)
-                .unwrap();
-        assert_eq!(first[3], 103);
-        // A torn write (here: garbage) must not be trusted on resume.
-        std::fs::write(result_path(&dir, 3), b"torn").unwrap();
-        let calls = AtomicUsize::new(0);
-        let second = par_map_checkpointed((0..8).collect(), Some(2), &dir, enc, dec, |x: u64| {
-            calls.fetch_add(1, Ordering::SeqCst);
-            x + 100
-        })
-        .unwrap();
-        assert_eq!(second, first);
-        assert_eq!(calls.load(Ordering::SeqCst), 1, "only the torn item reruns");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! (only the sequential, skip-on, uninterrupted arms ever record).
 
 use htnoc_core::prelude::*;
-use noc_sim::{SimSnapshot, Simulator, TrafficSource};
+use noc_sim::{Reader, SimSnapshot, Simulator, TrafficSource, Writer};
 use noc_traffic::AppSpec;
 use noc_types::Direction;
 use std::fmt::Write as _;
@@ -256,13 +256,13 @@ fn drive(
 /// down, and bring them back in fresh instances built from the scenario.
 fn checkpoint_roundtrip(
     sc: &Scenario,
-    sim: Simulator,
-    traffic: Box<dyn TrafficSource>,
+    mut sim: Simulator,
+    mut traffic: Box<dyn TrafficSource>,
 ) -> (Simulator, Box<dyn TrafficSource>) {
     let mut snap = sim.snapshot();
-    let mut cursor = Vec::new();
+    let mut cursor = Writer::default();
     traffic.save_cursor(&mut cursor);
-    snap.set_user_data(cursor);
+    snap.set_user_data(cursor.into_bytes());
     let bytes = snap.to_bytes();
     drop(sim);
     drop(traffic);
@@ -271,9 +271,11 @@ fn checkpoint_roundtrip(
     let mut sim = sc.build_sim();
     sim.restore(&snap).expect("checkpoint restores");
     let mut traffic = sc.build_traffic(sim.mesh());
-    let mut cursor = snap.user_data();
-    traffic.load_cursor(&mut cursor);
-    assert!(cursor.is_empty(), "traffic cursor fully consumed");
+    let mut cursor = Reader::new(snap.user_data());
+    traffic
+        .load_cursor(&mut cursor)
+        .expect("traffic cursor loads");
+    cursor.finish().expect("traffic cursor fully consumed");
     (sim, traffic)
 }
 

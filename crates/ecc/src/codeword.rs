@@ -13,7 +13,7 @@ pub const DATA_BITS: usize = 64;
 /// Hamming positional numbering (powers of two are parity positions). The
 /// fault-injection layers (transient, permanent, trojan) flip bits of this
 /// value while it is "on the wire".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct Codeword(pub u128);
 
 impl Codeword {

@@ -77,9 +77,10 @@ pub struct Verdict {
 }
 
 /// The detector's best current explanation for a link's faults.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FaultClass {
     /// No faults observed.
+    #[default]
     None,
     /// Isolated faults that did not recur.
     Transient,

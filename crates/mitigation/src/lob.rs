@@ -23,9 +23,10 @@
 use noc_types::header::HeaderLayout;
 
 /// Bit window an obfuscation applies to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Granularity {
     /// All 64 wire bits.
+    #[default]
     Full,
     /// The header window (the 42 bits a TASP comparator can watch).
     Header,
@@ -57,9 +58,10 @@ impl Granularity {
 }
 
 /// One reversible obfuscation method.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum ObfuscationMethod {
     /// Bitwise complement of the window.
+    #[default]
     Invert,
     /// Rotate the window left by `k` bits (undo rotates right).
     Rotate(u8),
@@ -96,7 +98,7 @@ impl ObfuscationMethod {
 /// assert_eq!(plan.undo(wire, 0), word, "the receiver recovers the flit");
 /// assert!(plan.method.undo_penalty() <= 3, "within the paper's 1-3 cycles");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct LobPlan {
     /// The transform to apply.
     pub method: ObfuscationMethod,

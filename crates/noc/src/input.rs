@@ -82,7 +82,7 @@ fn cycle_zero() -> u64 {
 }
 
 /// A scrambled flit waiting for its XOR partner.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct PendingScramble {
     /// The held flit.
     pub flit: Flit,
@@ -100,7 +100,7 @@ pub struct PendingScramble {
 
 /// A flit whose obfuscation undo stall is in progress: it enters the FIFO
 /// at `ready` (paying the 1–3 cycle L-Ob penalty).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct DelayedEntry {
     /// Cycle the buffer write becomes due.
     pub ready: u64,

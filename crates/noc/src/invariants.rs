@@ -12,7 +12,7 @@ use crate::input::VcState;
 use crate::router::Router;
 
 /// One detected protocol violation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Violation {
     /// Router where the violation was observed.
     pub router: u16,

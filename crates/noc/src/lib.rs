@@ -61,8 +61,8 @@ pub use message::SimEvent;
 pub use metrics::{LinkMetrics, MetricsRegistry, RouterMetrics};
 pub use sim::{Simulator, TrafficSource};
 pub use snapshot::{
-    config_hash, decode_stall_report, encode_stall_report, Checkpointer, SimSnapshot,
-    SnapshotError, SNAPSHOT_VERSION,
+    config_hash, Checkpointer, Codec, Persist, Reader, SimSnapshot, SnapshotError, Writer,
+    SNAPSHOT_VERSION,
 };
 pub use stats::{SimStats, Snapshot};
 pub use telemetry::{

@@ -8,7 +8,7 @@ use noc_types::{Flit, FlitId, LinkId, NodeId, PacketId, VcId};
 /// Obfuscation side-band metadata travelling with a flit. The paper assumes
 /// the mitigation hardware itself is trustworthy; these control wires are
 /// outside the trojan's reach.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ObfWire {
     /// The transform applied to the wire word.
     pub plan: LobPlan,
@@ -20,7 +20,7 @@ pub struct ObfWire {
 
 /// A flit in flight on a link: the logical flit (simulator bookkeeping),
 /// the physical codeword (what faults corrupt), and side-band metadata.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinkFlit {
     /// The logical flit (simulator bookkeeping).
     pub flit: Flit,
@@ -51,7 +51,7 @@ pub enum AckKind {
 }
 
 /// One ACK/NACK message in flight on the reverse channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AckMsg {
     /// The flit being acknowledged.
     pub flit: FlitId,

@@ -17,7 +17,7 @@ pub enum SlotState {
 }
 
 /// One occupied retransmission slot.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RetxEntry {
     /// The buffered flit.
     pub flit: Flit,

@@ -16,7 +16,7 @@ use std::collections::HashSet;
 
 /// A crossbar traversal in progress: granted at SA in cycle `granted_at`,
 /// committed to the output stage at ST in the next cycle.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct StMove {
     /// The flit crossing the crossbar.
     pub flit: Flit,

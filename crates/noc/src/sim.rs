@@ -9,6 +9,7 @@ use crate::message::{SimEvent, TraceEvent};
 use crate::metrics::MetricsRegistry;
 use crate::router::{CreditSite, Router};
 use crate::routing::Routing;
+use crate::snapshot::{Reader, SnapshotError, Writer};
 use crate::stats::{SimStats, Snapshot};
 use crate::trace::{Record, TraceKind, TraceRecorder, TraceSink};
 use crate::watchdog::{StallKind, StallReport};
@@ -40,14 +41,17 @@ pub trait TrafficSource {
     }
 
     /// Append this source's resume cursor (RNG state, position counters)
-    /// to `out`, for checkpointing. The default writes nothing — correct
-    /// for stateless sources like [`NoTraffic`]; stateful sources override
-    /// both cursor methods symmetrically.
-    fn save_cursor(&self, _out: &mut Vec<u8>) {}
+    /// for checkpointing. The default writes nothing — correct for
+    /// stateless sources like [`NoTraffic`]; stateful sources walk one
+    /// [`crate::snapshot::Persist`] value in both cursor methods.
+    fn save_cursor(&mut self, _w: &mut Writer) {}
 
     /// Restore the cursor written by [`TrafficSource::save_cursor`],
-    /// consuming exactly the bytes it wrote from the front of `input`.
-    fn load_cursor(&mut self, _input: &mut &[u8]) {}
+    /// consuming exactly the bytes it wrote. Short or malformed input is
+    /// an error, never a silently different traffic stream.
+    fn load_cursor(&mut self, _r: &mut Reader<'_>) -> Result<(), SnapshotError> {
+        Ok(())
+    }
 
     /// Event-horizon lookahead for [`Simulator::skip_idle_cycles`]: the
     /// earliest cycle `>= now` at which polling this source may either

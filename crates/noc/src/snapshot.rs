@@ -13,6 +13,19 @@
 //! rejected with [`SnapshotError::VersionMismatch`]; the payload encoding
 //! is only ever interpreted under its own version.
 //!
+//! # One codec
+//!
+//! Each persisted layout is stated once, as a [`Persist::persist`] walk
+//! that visits every field in wire order. Two [`Codec`]s drive the same
+//! walk: [`Writer`] appends each field, and [`Reader`] overwrites each
+//! field in place and runs the decode checks (lengths the configuration
+//! fixes, enum tags, port and arbiter bounds), each failing as
+//! [`SnapshotError::Corrupt`]. Adding a field is one line in its type's
+//! walk; changing the bytes means bumping [`SNAPSHOT_VERSION`] and
+//! re-recording the byte-format golden. Campaign drivers store their own
+//! records (stall logs, traffic cursors) in `user_data` through the same
+//! codec.
+//!
 //! # Exactness
 //!
 //! The payload serialises every field of [`Simulator`] that influences
@@ -39,21 +52,25 @@
 //! most recent checkpoints and, on load, falls back across the rotation
 //! past any file that fails validation.
 
+use crate::arbiter::RoundRobin;
 use crate::config::{SimConfig, TraceConfig};
 use crate::error::SimError;
-use crate::input::{DelayedEntry, InputUnit, PendingScramble, VcState};
+use crate::fault::{LinkFaults, StuckWires};
+use crate::input::{DelayedEntry, InputUnit, InputVc, PendingScramble, VcState};
 use crate::invariants::Violation;
+use crate::link::LinkLanes;
 use crate::message::{AckKind, AckMsg, LinkFlit, ObfWire, SimEvent, TraceEvent, TraceOutcome};
+use crate::metrics::{Counter, Gauge, LinkMetrics, PowHistogram, RouterMetrics};
 use crate::output::{OutputUnit, RetxEntry, SlotState};
 use crate::router::{Router, StMove};
-use crate::routing::{RouteTables, Routing};
+use crate::routing::{RouteTables, Routing, TopoRoutes};
 use crate::sim::Simulator;
 use crate::stats::{SimStats, Snapshot as StatsSnapshot};
 use crate::trace::{Record, TraceRecorder};
 use crate::watchdog::{StallKind, StallReport};
 use noc_ecc::Codeword;
 use noc_mitigation::{DetectorState, FaultClass, FaultRecordState, LobPlan};
-use noc_trojan::{FieldMatch, TargetSpec, TaspConfig, TaspHt, TaspState, TaspStats};
+use noc_trojan::{FieldMatch, TargetSpec, TaspConfig, TaspHt, TaspState};
 use noc_types::{Direction, Flit, FlitId, FlitKind, Header, LinkId, NodeId, PacketId, Port, VcId};
 use rand::rngs::StdRng;
 use std::collections::VecDeque;
@@ -112,173 +129,384 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
+fn corrupt(what: impl Into<String>) -> SnapshotError {
+    SnapshotError::Corrupt(what.into())
+}
+
 // ---------------------------------------------------------------------
-// Byte cursors (shared with traffic-source cursor implementations)
+// The codec: one walk per layout, driven by a writer or a reader
 // ---------------------------------------------------------------------
 
-/// Append a `u8`.
-pub fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
+/// A value that walks its fields, in wire order, through a [`Codec`]:
+/// the single statement of its snapshot layout.
+pub trait Persist {
+    /// Append every field to a [`Writer`], or overwrite every field from
+    /// a [`Reader`]. Only reading can fail.
+    fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError>;
 }
 
-/// Append a little-endian `u16`.
-pub fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// The direction a [`Persist`] walk runs in: [`Writer`] or [`Reader`].
+pub trait Codec {
+    /// `true` for [`Reader`]: decode checks and rebuilds run only then.
+    const READING: bool;
+
+    /// Move `N` raw bytes: append them, or overwrite them from the input.
+    fn raw<const N: usize>(&mut self, bytes: &mut [u8; N]) -> Result<(), SnapshotError>;
+
+    /// Move a `u64`-length-prefixed byte string in one copy.
+    fn bytes(&mut self, bytes: &mut Vec<u8>) -> Result<(), SnapshotError>;
 }
 
-/// Append a little-endian `u32`.
-pub fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// Encodes [`Persist`] walks by appending each field.
+#[derive(Debug, Default)]
+pub struct Writer {
+    out: Vec<u8>,
 }
 
-/// Append a little-endian `u64`.
-pub fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
+impl Writer {
+    /// An empty writer with room for `capacity` bytes.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Self {
+            out: Vec::with_capacity(capacity),
+        }
+    }
 
-/// Append a little-endian `u128`.
-pub fn put_u128(out: &mut Vec<u8>, v: u128) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
+    /// Append `value`. The walk takes `&mut` so that one walk serves
+    /// both directions; writing leaves `value` unchanged.
+    pub fn put<T: Persist + ?Sized>(&mut self, value: &mut T) {
+        // A walk only fails on decode checks, which run under `READING`.
+        value.persist(self).expect("encoding cannot fail");
+    }
 
-/// Append a bool as one byte (0 or 1).
-pub fn put_bool(out: &mut Vec<u8>, v: bool) {
-    out.push(v as u8);
-}
+    /// Append a `u64`-length-prefixed byte string.
+    fn blob(&mut self, bytes: &[u8]) {
+        self.out
+            .extend_from_slice(&(bytes.len() as u64).to_le_bytes());
+        self.out.extend_from_slice(bytes);
+    }
 
-/// Append an `f64` as its IEEE-754 bit pattern (exact round trip).
-pub fn put_f64(out: &mut Vec<u8>, v: f64) {
-    put_u64(out, v.to_bits());
-}
-
-/// Append a length-prefixed byte string.
-pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    put_u64(out, bytes.len() as u64);
-    out.extend_from_slice(bytes);
-}
-
-/// Append a length-prefixed UTF-8 string.
-pub fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_bytes(out, s.as_bytes());
-}
-
-/// Take a `u8` off the front of `input`, advancing it.
-pub fn take_u8(input: &mut &[u8]) -> Option<u8> {
-    let (&b, rest) = input.split_first()?;
-    *input = rest;
-    Some(b)
-}
-
-/// Take a little-endian `u16`.
-pub fn take_u16(input: &mut &[u8]) -> Option<u16> {
-    let (head, rest) = input.split_at_checked(2)?;
-    *input = rest;
-    Some(u16::from_le_bytes(head.try_into().ok()?))
-}
-
-/// Take a little-endian `u32`.
-pub fn take_u32(input: &mut &[u8]) -> Option<u32> {
-    let (head, rest) = input.split_at_checked(4)?;
-    *input = rest;
-    Some(u32::from_le_bytes(head.try_into().ok()?))
-}
-
-/// Take a little-endian `u64`.
-pub fn take_u64(input: &mut &[u8]) -> Option<u64> {
-    let (head, rest) = input.split_at_checked(8)?;
-    *input = rest;
-    Some(u64::from_le_bytes(head.try_into().ok()?))
-}
-
-/// Take a little-endian `u128`.
-pub fn take_u128(input: &mut &[u8]) -> Option<u128> {
-    let (head, rest) = input.split_at_checked(16)?;
-    *input = rest;
-    Some(u128::from_le_bytes(head.try_into().ok()?))
-}
-
-/// Take a bool (rejects bytes other than 0/1).
-pub fn take_bool(input: &mut &[u8]) -> Option<bool> {
-    match take_u8(input)? {
-        0 => Some(false),
-        1 => Some(true),
-        _ => None,
+    /// The bytes written so far.
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.out
     }
 }
 
-/// Take an `f64` from its bit pattern.
-pub fn take_f64(input: &mut &[u8]) -> Option<f64> {
-    take_u64(input).map(f64::from_bits)
+impl Codec for Writer {
+    const READING: bool = false;
+
+    #[inline]
+    fn raw<const N: usize>(&mut self, bytes: &mut [u8; N]) -> Result<(), SnapshotError> {
+        self.out.extend_from_slice(bytes);
+        Ok(())
+    }
+
+    #[inline]
+    fn bytes(&mut self, bytes: &mut Vec<u8>) -> Result<(), SnapshotError> {
+        self.blob(bytes);
+        Ok(())
+    }
 }
 
-/// Take a length-prefixed byte string.
-pub fn take_bytes(input: &mut &[u8]) -> Option<Vec<u8>> {
-    let len = take_u64(input)? as usize;
-    let (head, rest) = input.split_at_checked(len)?;
-    *input = rest;
-    Some(head.to_vec())
-}
-
-/// Take a length-prefixed UTF-8 string.
-pub fn take_str(input: &mut &[u8]) -> Option<String> {
-    String::from_utf8(take_bytes(input)?).ok()
-}
-
-/// Cursor over a payload that converts underruns and malformed values
-/// into [`SnapshotError::Corrupt`].
-struct Reader<'a> {
+/// Decodes [`Persist`] walks by overwriting each field from a byte
+/// slice; malformed input fails as [`SnapshotError::Corrupt`].
+#[derive(Debug)]
+pub struct Reader<'a> {
     buf: &'a [u8],
 }
 
-macro_rules! reader_take {
-    ($name:ident, $ty:ty, $take:ident) => {
-        fn $name(&mut self) -> Result<$ty, SnapshotError> {
-            $take(&mut self.buf).ok_or_else(|| {
-                SnapshotError::Corrupt(concat!("short read: ", stringify!($name)).into())
-            })
+impl<'a> Reader<'a> {
+    /// A reader over `buf`.
+    pub fn new(buf: &'a [u8]) -> Self {
+        Self { buf }
+    }
+
+    /// Decode a fresh `T`.
+    pub fn get<T: Persist + Default>(&mut self) -> Result<T, SnapshotError> {
+        let mut value = T::default();
+        value.persist(self)?;
+        Ok(value)
+    }
+
+    /// Reject trailing bytes once decoding claims to be done.
+    pub fn finish(&self) -> Result<(), SnapshotError> {
+        match self.buf.len() {
+            0 => Ok(()),
+            n => Err(corrupt(format!("{n} trailing bytes"))),
+        }
+    }
+
+    /// A length-prefixed byte string, borrowed from the input: the length
+    /// is checked against what remains before anything is copied.
+    fn blob(&mut self) -> Result<&'a [u8], SnapshotError> {
+        let mut len = 0usize;
+        len.persist(self)?;
+        let (head, rest) = self
+            .buf
+            .split_at_checked(len)
+            .ok_or_else(|| corrupt("input ends mid-field"))?;
+        self.buf = rest;
+        Ok(head)
+    }
+}
+
+impl Codec for Reader<'_> {
+    const READING: bool = true;
+
+    #[inline]
+    fn raw<const N: usize>(&mut self, bytes: &mut [u8; N]) -> Result<(), SnapshotError> {
+        let (head, rest) = self
+            .buf
+            .split_first_chunk::<N>()
+            .ok_or_else(|| corrupt("input ends mid-field"))?;
+        *bytes = *head;
+        self.buf = rest;
+        Ok(())
+    }
+
+    fn bytes(&mut self, bytes: &mut Vec<u8>) -> Result<(), SnapshotError> {
+        let blob = self.blob()?;
+        bytes.clear();
+        bytes.extend_from_slice(blob);
+        Ok(())
+    }
+}
+
+/// Walk each listed place through the codec `c`, in order.
+macro_rules! persist {
+    ($c:ident; $($place:expr),* $(,)?) => {{
+        $($place.persist($c)?;)*
+        Ok(())
+    }};
+}
+
+/// A `u8` tag, then the variant's fields in the order listed. Reading a
+/// tag builds its variant from default fields and then overwrites them.
+/// The `default` form also makes the first arm the enum's `Default`: the
+/// placeholder a decoded sequence item starts from.
+macro_rules! persist_enum {
+    (default $ty:ident $what:literal {
+        $tag0:literal => $var0:ident $({ $($f0:ident),+ })?
+        $(, $tag:literal => $var:ident $({ $($f:ident),+ })?)* $(,)?
+    }) => {
+        impl Default for $ty {
+            fn default() -> Self {
+                $ty::$var0 $({ $($f0: Default::default()),+ })?
+            }
+        }
+        persist_enum!($ty $what {
+            $tag0 => $var0 $({ $($f0),+ })? $(, $tag => $var $({ $($f),+ })?)*
+        });
+    };
+    ($ty:ident $what:literal { $($tag:literal => $var:ident $({ $($f:ident),+ })?),+ $(,)? }) => {
+        impl Persist for $ty {
+            fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+                let mut tag: u8 = match self {
+                    $($ty::$var { .. } => $tag,)+
+                };
+                tag.persist(c)?;
+                if C::READING {
+                    *self = match tag {
+                        $($tag => $ty::$var $({ $($f: Default::default()),+ })?,)+
+                        t => return Err(corrupt(format!(concat!($what, " tag {}"), t))),
+                    };
+                }
+                match self {
+                    $($ty::$var $({ $($f),+ })? => persist!(c; $($($f),+)?),)+
+                }
+            }
         }
     };
 }
 
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf }
+/// A struct walked field by field, in the order listed.
+macro_rules! persist_fields {
+    ($ty:ty: $($field:ident),+ $(,)?) => {
+        impl Persist for $ty {
+            fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+                persist!(c; $(self.$field),+)
+            }
+        }
+    };
+}
+
+macro_rules! persist_le {
+    ($($t:ty),+) => {$(
+        /// Little-endian.
+        impl Persist for $t {
+            #[inline]
+            fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+                let mut bytes = self.to_le_bytes();
+                c.raw(&mut bytes)?;
+                if C::READING {
+                    *self = <$t>::from_le_bytes(bytes);
+                }
+                Ok(())
+            }
+        }
+    )+};
+}
+
+persist_le!(u8, u16, u32, u64, u128);
+
+macro_rules! persist_newtype {
+    ($($t:ty),+) => {$(
+        impl Persist for $t {
+            #[inline]
+            fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+                self.0.persist(c)
+            }
+        }
+    )+};
+}
+
+persist_newtype!(NodeId, LinkId, VcId, PacketId, FlitId, Codeword, Counter);
+
+/// Lengths, counts and indices travel as `u64`.
+impl Persist for usize {
+    #[inline]
+    fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        let mut v = *self as u64;
+        v.persist(c)?;
+        if C::READING {
+            *self = usize::try_from(v).map_err(|_| corrupt(format!("length {v}")))?;
+        }
+        Ok(())
     }
+}
 
-    reader_take!(u8, u8, take_u8);
-    reader_take!(u16, u16, take_u16);
-    reader_take!(u32, u32, take_u32);
-    reader_take!(u64, u64, take_u64);
-    reader_take!(u128, u128, take_u128);
-    reader_take!(bool, bool, take_bool);
-    reader_take!(f64, f64, take_f64);
-    reader_take!(bytes, Vec<u8>, take_bytes);
-    reader_take!(str, String, take_str);
-
-    fn len(&mut self) -> Result<usize, SnapshotError> {
-        Ok(self.u64()? as usize)
+/// The IEEE-754 bit pattern: an exact round trip.
+impl Persist for f64 {
+    #[inline]
+    fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        let mut bits = self.to_bits();
+        bits.persist(c)?;
+        if C::READING {
+            *self = f64::from_bits(bits);
+        }
+        Ok(())
     }
+}
 
-    /// Present/absent flag for `Option` fields.
-    fn flag(&mut self) -> Result<bool, SnapshotError> {
-        self.bool()
+/// One byte, 0 or 1.
+impl Persist for bool {
+    #[inline]
+    fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        let mut byte = *self as u8;
+        byte.persist(c)?;
+        if C::READING {
+            *self = match byte {
+                0 => false,
+                1 => true,
+                b => return Err(corrupt(format!("bool byte {b}"))),
+            };
+        }
+        Ok(())
     }
+}
 
-    /// Reject trailing bytes once decoding claims to be done.
-    fn finish(&self) -> Result<(), SnapshotError> {
-        if self.buf.is_empty() {
-            Ok(())
-        } else {
-            Err(SnapshotError::Corrupt(format!(
-                "{} trailing payload bytes",
-                self.buf.len()
-            )))
+impl Persist for String {
+    fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        let mut bytes = std::mem::take(self).into_bytes();
+        c.bytes(&mut bytes)?;
+        *self = String::from_utf8(bytes).map_err(|_| corrupt("string is not UTF-8"))?;
+        Ok(())
+    }
+}
+
+impl<T: Persist + ?Sized> Persist for &mut T {
+    #[inline]
+    fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        (**self).persist(c)
+    }
+}
+
+/// A presence flag, then the value.
+impl<T: Persist + Default> Persist for Option<T> {
+    #[inline]
+    fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        let mut present = self.is_some();
+        present.persist(c)?;
+        if C::READING && present != self.is_some() {
+            *self = present.then(T::default);
+        }
+        match self {
+            Some(v) => v.persist(c),
+            None => Ok(()),
         }
     }
 }
 
-fn corrupt(what: impl Into<String>) -> SnapshotError {
-    SnapshotError::Corrupt(what.into())
+/// Fixed size: the items, no count.
+impl<T: Persist, const N: usize> Persist for [T; N] {
+    #[inline]
+    fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        self.iter_mut().try_for_each(|v| v.persist(c))
+    }
+}
+
+impl<A: Persist, B: Persist> Persist for (A, B) {
+    #[inline]
+    fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        persist!(c; self.0, self.1)
+    }
+}
+
+impl<A: Persist, B: Persist, D: Persist> Persist for (A, B, D) {
+    #[inline]
+    fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        persist!(c; self.0, self.1, self.2)
+    }
+}
+
+macro_rules! persist_seq {
+    ($seq:ident, $push:ident) => {
+        /// A `u64` count, then the items. Decoding grows the sequence one
+        /// item at a time, so a hostile count fails at the first short
+        /// read instead of reserving memory.
+        impl<T: Persist + Default> Persist for $seq<T> {
+            fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+                let mut n = self.len();
+                n.persist(c)?;
+                if !C::READING {
+                    return self.iter_mut().try_for_each(|v| v.persist(c));
+                }
+                self.clear();
+                for _ in 0..n {
+                    let mut v = T::default();
+                    v.persist(c)?;
+                    self.$push(v);
+                }
+                Ok(())
+            }
+        }
+    };
+}
+
+persist_seq!(Vec, push);
+persist_seq!(VecDeque, push_back);
+
+/// A `u64` count the configuration fixes: decoding checks it instead of
+/// resizing.
+fn fixed_len<C: Codec>(c: &mut C, what: &str, len: usize) -> Result<(), SnapshotError> {
+    let mut n = len;
+    n.persist(c)?;
+    if n != len {
+        return Err(corrupt(format!(
+            "{what}: {n} entries, configuration has {len}"
+        )));
+    }
+    Ok(())
+}
+
+/// A sequence whose length the configuration fixes: the count, then each
+/// item overwritten in place.
+fn fixed<C: Codec, T: Persist>(
+    c: &mut C,
+    what: &str,
+    items: &mut [T],
+) -> Result<(), SnapshotError> {
+    fixed_len(c, what, items.len())?;
+    items.iter_mut().try_for_each(|v| v.persist(c))
 }
 
 // ---------------------------------------------------------------------
@@ -418,15 +646,18 @@ impl SimSnapshot {
 
     /// Serialise to the on-disk format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut body = Vec::with_capacity(self.payload.len() + self.user_data.len() + 64);
-        put_u32(&mut body, SNAPSHOT_VERSION);
-        put_u64(&mut body, self.config_hash);
-        put_u64(&mut body, self.cycle);
-        put_bytes(&mut body, &self.payload);
-        put_bytes(&mut body, &self.user_data);
+        // Body first, then the frame around a copy of it. Writing the frame
+        // into one buffer and patching the CRC in place saves that copy,
+        // but after a 32×32 snapshot glibc then kept ~15 MB more heap
+        // resident, enough to trip the `cycles_per_sec` RSS ceilings.
+        let mut body = Writer::with_capacity(self.payload.len() + self.user_data.len() + 64);
+        body.put(&mut (SNAPSHOT_VERSION, self.config_hash, self.cycle));
+        body.blob(&self.payload);
+        body.blob(&self.user_data);
+        let body = body.into_bytes();
         let mut out = Vec::with_capacity(body.len() + 16);
         out.extend_from_slice(&MAGIC);
-        put_u64(&mut out, crc64(&body));
+        out.extend_from_slice(&crc64(&body).to_le_bytes());
         out.extend_from_slice(&body);
         out
     }
@@ -436,15 +667,14 @@ impl SimSnapshot {
     /// [`SnapshotError::Corrupt`], and only a CRC-clean body can be
     /// diagnosed as a version mismatch.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        if bytes.len() < MAGIC.len() + 8 {
+        let Some((head, body)) = bytes.split_first_chunk::<16>() else {
             return Err(corrupt("file shorter than header"));
-        }
-        if bytes[..MAGIC.len()] != MAGIC {
+        };
+        let (magic, stored) = head.split_at(8);
+        if magic != MAGIC {
             return Err(corrupt("bad magic"));
         }
-        let mut header = &bytes[MAGIC.len()..MAGIC.len() + 8];
-        let stored = take_u64(&mut header).expect("8 bytes sliced");
-        let body = &bytes[MAGIC.len() + 8..];
+        let stored = u64::from_le_bytes(stored.try_into().expect("8 bytes"));
         let computed = crc64(body);
         if stored != computed {
             return Err(corrupt(format!(
@@ -452,45 +682,32 @@ impl SimSnapshot {
             )));
         }
         let mut r = Reader::new(body);
-        let version = r.u32()?;
+        let version: u32 = r.get()?;
         if version != SNAPSHOT_VERSION {
             return Err(SnapshotError::VersionMismatch {
                 found: version,
                 expected: SNAPSHOT_VERSION,
             });
         }
-        let config_hash = r.u64()?;
-        let cycle = r.u64()?;
-        let payload = r.bytes()?;
-        let user_data = r.bytes()?;
-        r.finish()?;
-        Ok(Self {
-            payload,
+        let (config_hash, cycle) = r.get()?;
+        let mut snap = Self {
+            payload: Vec::new(),
             config_hash,
             cycle,
-            user_data,
-        })
+            user_data: Vec::new(),
+        };
+        r.bytes(&mut snap.payload)?;
+        r.bytes(&mut snap.user_data)?;
+        r.finish()?;
+        Ok(snap)
     }
 
     /// Write atomically: temp sibling → `sync_all` → rename, plus a
     /// best-effort fsync of the parent directory, so a crash at any point
     /// leaves either the previous file or the complete new one.
     pub fn write_atomic(&self, path: &Path) -> Result<(), SnapshotError> {
-        let io = |e: std::io::Error| SnapshotError::Io(format!("{}: {e}", path.display()));
-        let tmp = path.with_extension("tmp");
-        {
-            use std::io::Write;
-            let mut f = std::fs::File::create(&tmp).map_err(io)?;
-            f.write_all(&self.to_bytes()).map_err(io)?;
-            f.sync_all().map_err(io)?;
-        }
-        std::fs::rename(&tmp, path).map_err(io)?;
-        if let Some(dir) = path.parent() {
-            if let Ok(d) = std::fs::File::open(dir) {
-                let _ = d.sync_all();
-            }
-        }
-        Ok(())
+        crate::telemetry::write_atomic(path, &self.to_bytes())
+            .map_err(|e| SnapshotError::Io(format!("{}: {e}", path.display())))
     }
 
     /// Read and validate a snapshot file.
@@ -585,1667 +802,516 @@ impl Checkpointer {
 }
 
 // ---------------------------------------------------------------------
-// StallReport codec (post-mortem user_data for campaign drivers)
+// Payload layouts
 // ---------------------------------------------------------------------
 
-/// Append a [`StallReport`] to `out` in the snapshot byte format (the
-/// campaign driver stores stall diagnoses in snapshot `user_data`).
-pub fn encode_stall_report(out: &mut Vec<u8>, report: &StallReport) {
-    put_u64(out, report.cycle);
-    match report.kind {
-        StallKind::GlobalDeadlock { idle_cycles } => {
-            put_u8(out, 0);
-            put_u64(out, idle_cycles);
+// Field by field, not `Header::pack()`: the packed wire form aliases
+// coordinates mod 16 and would not round-trip large meshes.
+persist_fields!(Header: src, dest, vc, mem_addr, thread, len);
+
+persist_fields!(Flit: id, packet, kind, seq, header, word);
+
+persist_enum!(FlitKind "flit kind" { 0 => Head, 1 => Body, 2 => Tail, 3 => Single });
+persist_enum!(FaultClass "fault class" {
+    0 => None,
+    1 => Transient,
+    2 => Permanent,
+    3 => HardwareTrojan,
+});
+
+/// The plan's label, the trace schema's stable text form.
+impl Persist for LobPlan {
+    fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        let mut label = if C::READING {
+            String::new()
+        } else {
+            self.label()
+        };
+        label.persist(c)?;
+        if C::READING {
+            *self = LobPlan::from_label(&label)
+                .ok_or_else(|| corrupt(format!("lob plan label {label:?}")))?;
         }
-        StallKind::CreditStall {
-            router,
-            dir,
-            oldest_age,
-        } => {
-            put_u8(out, 1);
-            put_u16(out, router.0);
-            put_u8(out, dir.index() as u8);
-            put_u64(out, oldest_age);
-        }
-        StallKind::RetxLivelock {
-            router,
-            dir,
-            flit,
-            attempts,
-        } => {
-            put_u8(out, 2);
-            put_u16(out, router.0);
-            put_u8(out, dir.index() as u8);
-            put_u64(out, flit.0);
-            put_u32(out, attempts);
-        }
+        Ok(())
     }
-    put_u64(out, report.resident_flits as u64);
-    put_u64(out, report.queued_flits as u64);
-    put_u64(out, report.delivered_flits);
 }
 
-/// Take a [`StallReport`] off the front of `input` (inverse of
-/// [`encode_stall_report`]). `None` on any malformed byte.
-pub fn decode_stall_report(input: &mut &[u8]) -> Option<StallReport> {
-    let cycle = take_u64(input)?;
-    let kind = match take_u8(input)? {
-        0 => StallKind::GlobalDeadlock {
-            idle_cycles: take_u64(input)?,
-        },
-        1 => StallKind::CreditStall {
-            router: NodeId(take_u16(input)?),
-            dir: direction_from_u8(take_u8(input)?)?,
-            oldest_age: take_u64(input)?,
-        },
-        2 => StallKind::RetxLivelock {
-            router: NodeId(take_u16(input)?),
-            dir: direction_from_u8(take_u8(input)?)?,
-            flit: FlitId(take_u64(input)?),
-            attempts: take_u32(input)?,
-        },
-        _ => return None,
+persist_fields!(ObfWire: plan, attempt, partner);
+
+persist_enum!(Direction "direction" { 0 => East, 1 => West, 2 => North, 3 => South });
+
+/// [`Port::index`]; [`Router`]'s walk checks it against the port count.
+impl Persist for Port {
+    fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        let mut i = self.index() as u8;
+        i.persist(c)?;
+        if C::READING {
+            *self = Port::from_index(i as usize);
+        }
+        Ok(())
+    }
+}
+
+persist_enum!(default StallKind "stall kind" {
+    0 => GlobalDeadlock { idle_cycles },
+    1 => CreditStall { router, dir, oldest_age },
+    2 => RetxLivelock { router, dir, flit, attempts },
+});
+
+/// The campaign driver also stores its stall log, a `Vec<StallReport>`,
+/// in snapshot `user_data`.
+impl Persist for StallReport {
+    fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        if C::READING {
+            // Wall-clock telemetry is not simulation state: a restored run
+            // re-arms (or not) its own telemetry plane.
+            self.heartbeat = None;
+        }
+        persist!(c; self.cycle, self.kind, self.resident_flits, self.queued_flits)?;
+        self.delivered_flits.persist(c)
+    }
+}
+
+persist_enum!(default SimEvent "sim event" {
+    0 => PacketDelivered { packet, src, dest, injected_at, delivered_at },
+    1 => BistRan { link, passed, cycle },
+    2 => LinkClassified { link, class, cycle },
+    3 => ObfuscationSucceeded { link, plan, cycle },
+    4 => RetryBudgetEscalated { link, flit, attempts, cycle },
+    5 => LinkQuarantined { link, dropped_packets, dropped_flits, cycle },
+    6 => WatchdogTripped { report },
+});
+
+persist_enum!(default TraceEvent "trace event" {
+    0 => Injected { cycle, flit, core },
+    1 => Launched { cycle, flit, link, obfuscated, attempt },
+    2 => Delivered { cycle, flit, link, outcome },
+    3 => Ejected { cycle, flit, router },
+});
+
+persist_enum!(default TraceOutcome "trace outcome" {
+    0 => Clean,
+    1 => CorrectedSingleBit,
+    2 => Nacked { lob_requested },
+});
+
+persist_fields!(Violation: router, what);
+
+/// A `u8` tag where 0 is "not poisoned", then the error's fields.
+fn sim_error<C: Codec>(c: &mut C, err: &mut Option<SimError>) -> Result<(), SnapshotError> {
+    let mut tag: u8 = match err {
+        None => 0,
+        Some(SimError::Stalled(_)) => 1,
+        Some(SimError::MeshDisconnected { .. }) => 2,
+        Some(SimError::InvariantViolations { .. }) => 3,
     };
-    Some(StallReport {
-        cycle,
-        kind,
-        resident_flits: take_u64(input)? as usize,
-        queued_flits: take_u64(input)? as usize,
-        delivered_flits: take_u64(input)?,
-        // Wall-clock telemetry is not simulation state: a restored run
-        // re-arms (or not) its own telemetry plane.
-        heartbeat: None,
-    })
-}
-
-fn direction_from_u8(i: u8) -> Option<Direction> {
-    Direction::ALL.get(i as usize).copied()
-}
-
-// ---------------------------------------------------------------------
-// Payload codec: leaf encoders
-// ---------------------------------------------------------------------
-
-fn put_header_fields(out: &mut Vec<u8>, h: &Header) {
-    // Field-by-field, not `Header::pack()`: the packed wire form aliases
-    // coordinates mod 16 and would not round-trip large meshes.
-    put_u16(out, h.src.0);
-    put_u16(out, h.dest.0);
-    put_u8(out, h.vc.0);
-    put_u32(out, h.mem_addr);
-    put_u8(out, h.thread);
-    put_u8(out, h.len);
-}
-
-fn flit_kind_tag(kind: FlitKind) -> u8 {
-    match kind {
-        FlitKind::Head => 0,
-        FlitKind::Body => 1,
-        FlitKind::Tail => 2,
-        FlitKind::Single => 3,
+    tag.persist(c)?;
+    if C::READING {
+        *err = match tag {
+            0 => None,
+            1 => Some(SimError::Stalled(Box::default())),
+            2 => Some(SimError::MeshDisconnected {
+                cycle: 0,
+                dead: Vec::new(),
+            }),
+            3 => Some(SimError::InvariantViolations {
+                cycle: 0,
+                violations: Vec::new(),
+            }),
+            t => return Err(corrupt(format!("sim error tag {t}"))),
+        };
+    }
+    match err {
+        None => Ok(()),
+        Some(SimError::Stalled(report)) => report.persist(c),
+        Some(SimError::MeshDisconnected { cycle, dead }) => persist!(c; cycle, dead),
+        Some(SimError::InvariantViolations { cycle, violations }) => persist!(c; cycle, violations),
     }
 }
 
-fn put_flit(out: &mut Vec<u8>, f: &Flit) {
-    put_u64(out, f.id.0);
-    put_u64(out, f.packet.0);
-    put_u8(out, flit_kind_tag(f.kind));
-    put_u8(out, f.seq);
-    put_header_fields(out, &f.header);
-    put_u64(out, f.word);
-}
+persist_fields!(StatsSnapshot:
+    cycle, input_util, output_util, injection_util, routers_all_cores_full, routers_half_cores_full,
+    routers_blocked_port, delivered_flits, retransmissions, uncorrectable_faults
+);
 
-fn put_plan(out: &mut Vec<u8>, plan: &LobPlan) {
-    put_str(out, &plan.label());
-}
+persist_fields!(SimStats:
+    snapshots, injected_packets, delivered_packets, injected_flits, delivered_flits, latency_sum,
+    latency_samples, latency_max, latency_histogram, retransmissions, corrected_faults,
+    uncorrectable_faults, bist_scans, dropped_flits, dropped_packets, quarantined_links,
+    budget_escalations
+);
 
-fn put_opt_plan(out: &mut Vec<u8>, plan: Option<LobPlan>) {
-    match plan {
-        None => put_bool(out, false),
-        Some(p) => {
-            put_bool(out, true);
-            put_plan(out, &p);
-        }
+/// A `u8` tag, then for table-driven routing the `next[router][dest]`
+/// table (and the topology tables' VC class per entry), square over the
+/// configuration's `routers`.
+fn routing<C: Codec>(
+    c: &mut C,
+    routing: &mut Routing,
+    routers: usize,
+) -> Result<(), SnapshotError> {
+    let mut tag: u8 = match routing {
+        Routing::Xy => 0,
+        Routing::Table(_) => 1,
+        Routing::OddEven => 2,
+        Routing::Topo(_) => 3,
+    };
+    tag.persist(c)?;
+    if C::READING {
+        let square = || vec![vec![None; routers]; routers];
+        *routing = match tag {
+            0 => Routing::Xy,
+            1 => Routing::Table(RouteTables { next: square() }),
+            2 => Routing::OddEven,
+            3 => Routing::Topo(TopoRoutes::from_parts(
+                square(),
+                vec![vec![0; routers]; routers],
+            )),
+            t => return Err(corrupt(format!("routing tag {t}"))),
+        };
     }
-}
-
-fn put_obf_wire(out: &mut Vec<u8>, o: &ObfWire) {
-    put_plan(out, &o.plan);
-    put_u32(out, o.attempt);
-    match o.partner {
-        None => put_bool(out, false),
-        Some(p) => {
-            put_bool(out, true);
-            put_u64(out, p.0);
-        }
-    }
-}
-
-fn put_opt_obf(out: &mut Vec<u8>, o: Option<&ObfWire>) {
-    match o {
-        None => put_bool(out, false),
-        Some(w) => {
-            put_bool(out, true);
-            put_obf_wire(out, w);
-        }
-    }
-}
-
-fn fault_class_tag(class: FaultClass) -> u8 {
-    match class {
-        FaultClass::None => 0,
-        FaultClass::Transient => 1,
-        FaultClass::Permanent => 2,
-        FaultClass::HardwareTrojan => 3,
-    }
-}
-
-fn put_stall_kind_fields(out: &mut Vec<u8>, report: &StallReport) {
-    encode_stall_report(out, report);
-}
-
-fn put_sim_event(out: &mut Vec<u8>, e: &SimEvent) {
-    match e {
-        SimEvent::PacketDelivered {
-            packet,
-            src,
-            dest,
-            injected_at,
-            delivered_at,
-        } => {
-            put_u8(out, 0);
-            put_u64(out, packet.0);
-            put_u16(out, src.0);
-            put_u16(out, dest.0);
-            put_u64(out, *injected_at);
-            put_u64(out, *delivered_at);
-        }
-        SimEvent::BistRan {
-            link,
-            passed,
-            cycle,
-        } => {
-            put_u8(out, 1);
-            put_u16(out, link.0);
-            put_bool(out, *passed);
-            put_u64(out, *cycle);
-        }
-        SimEvent::LinkClassified { link, class, cycle } => {
-            put_u8(out, 2);
-            put_u16(out, link.0);
-            put_u8(out, fault_class_tag(*class));
-            put_u64(out, *cycle);
-        }
-        SimEvent::ObfuscationSucceeded { link, plan, cycle } => {
-            put_u8(out, 3);
-            put_u16(out, link.0);
-            put_plan(out, plan);
-            put_u64(out, *cycle);
-        }
-        SimEvent::RetryBudgetEscalated {
-            link,
-            flit,
-            attempts,
-            cycle,
-        } => {
-            put_u8(out, 4);
-            put_u16(out, link.0);
-            put_u64(out, flit.0);
-            put_u32(out, *attempts);
-            put_u64(out, *cycle);
-        }
-        SimEvent::LinkQuarantined {
-            link,
-            dropped_packets,
-            dropped_flits,
-            cycle,
-        } => {
-            put_u8(out, 5);
-            put_u16(out, link.0);
-            put_u64(out, *dropped_packets);
-            put_u64(out, *dropped_flits);
-            put_u64(out, *cycle);
-        }
-        SimEvent::WatchdogTripped { report } => {
-            put_u8(out, 6);
-            put_stall_kind_fields(out, report);
-        }
-    }
-}
-
-fn put_trace_event(out: &mut Vec<u8>, e: &TraceEvent) {
-    match e {
-        TraceEvent::Injected { cycle, flit, core } => {
-            put_u8(out, 0);
-            put_u64(out, *cycle);
-            put_u64(out, flit.0);
-            put_u16(out, *core);
-        }
-        TraceEvent::Launched {
-            cycle,
-            flit,
-            link,
-            obfuscated,
-            attempt,
-        } => {
-            put_u8(out, 1);
-            put_u64(out, *cycle);
-            put_u64(out, flit.0);
-            put_u16(out, link.0);
-            put_opt_plan(out, *obfuscated);
-            put_u32(out, *attempt);
-        }
-        TraceEvent::Delivered {
-            cycle,
-            flit,
-            link,
-            outcome,
-        } => {
-            put_u8(out, 2);
-            put_u64(out, *cycle);
-            put_u64(out, flit.0);
-            put_u16(out, link.0);
-            match outcome {
-                TraceOutcome::Clean => put_u8(out, 0),
-                TraceOutcome::CorrectedSingleBit => put_u8(out, 1),
-                TraceOutcome::Nacked { lob_requested } => {
-                    put_u8(out, 2);
-                    put_bool(out, *lob_requested);
-                }
-            }
-        }
-        TraceEvent::Ejected {
-            cycle,
-            flit,
-            router,
-        } => {
-            put_u8(out, 3);
-            put_u64(out, *cycle);
-            put_u64(out, flit.0);
-            put_u16(out, router.0);
-        }
-    }
-}
-
-fn put_sim_error(out: &mut Vec<u8>, e: Option<&SimError>) {
-    match e {
-        None => put_u8(out, 0),
-        Some(SimError::Stalled(report)) => {
-            put_u8(out, 1);
-            encode_stall_report(out, report);
-        }
-        Some(SimError::MeshDisconnected { cycle, dead }) => {
-            put_u8(out, 2);
-            put_u64(out, *cycle);
-            put_u64(out, dead.len() as u64);
-            for l in dead {
-                put_u16(out, l.0);
-            }
-        }
-        Some(SimError::InvariantViolations { cycle, violations }) => {
-            put_u8(out, 3);
-            put_u64(out, *cycle);
-            put_u64(out, violations.len() as u64);
-            for v in violations {
-                put_u16(out, v.router);
-                put_str(out, &v.what);
-            }
-        }
-    }
-}
-
-fn put_stats(out: &mut Vec<u8>, s: &SimStats) {
-    put_u64(out, s.snapshots.len() as u64);
-    for snap in &s.snapshots {
-        put_u64(out, snap.cycle);
-        put_u64(out, snap.input_util as u64);
-        put_u64(out, snap.output_util as u64);
-        put_u64(out, snap.injection_util as u64);
-        put_u64(out, snap.routers_all_cores_full as u64);
-        put_u64(out, snap.routers_half_cores_full as u64);
-        put_u64(out, snap.routers_blocked_port as u64);
-        put_u64(out, snap.delivered_flits);
-        put_u64(out, snap.retransmissions);
-        put_u64(out, snap.uncorrectable_faults);
-    }
-    put_u64(out, s.injected_packets);
-    put_u64(out, s.delivered_packets);
-    put_u64(out, s.injected_flits);
-    put_u64(out, s.delivered_flits);
-    put_u64(out, s.latency_sum);
-    put_u64(out, s.latency_samples);
-    put_u64(out, s.latency_max);
-    for b in &s.latency_histogram {
-        put_u64(out, *b);
-    }
-    put_u64(out, s.retransmissions);
-    put_u64(out, s.corrected_faults);
-    put_u64(out, s.uncorrectable_faults);
-    put_u64(out, s.bist_scans);
-    put_u64(out, s.dropped_flits);
-    put_u64(out, s.dropped_packets);
-    put_u64(out, s.quarantined_links);
-    put_u64(out, s.budget_escalations);
-}
-
-fn put_routing(out: &mut Vec<u8>, routing: &Routing) {
     match routing {
-        Routing::Xy => put_u8(out, 0),
-        Routing::Table(tables) => {
-            put_u8(out, 1);
-            put_u64(out, tables.next.len() as u64);
-            for row in &tables.next {
-                put_u64(out, row.len() as u64);
-                for entry in row {
-                    match entry {
-                        None => put_bool(out, false),
-                        Some(d) => {
-                            put_bool(out, true);
-                            put_u8(out, d.index() as u8);
-                        }
-                    }
-                }
-            }
+        Routing::Xy | Routing::OddEven => Ok(()),
+        Routing::Table(t) => {
+            fixed_len(c, "route table rows", t.next.len())?;
+            t.next
+                .iter_mut()
+                .try_for_each(|row| fixed(c, "route table row", row))
         }
-        Routing::OddEven => put_u8(out, 2),
         Routing::Topo(t) => {
-            put_u8(out, 3);
-            put_u64(out, t.next.len() as u64);
-            for (row, classes) in t.next.iter().zip(&t.class) {
-                put_u64(out, row.len() as u64);
-                for (entry, class) in row.iter().zip(classes) {
-                    match entry {
-                        None => put_bool(out, false),
-                        Some(d) => {
-                            put_bool(out, true);
-                            put_u8(out, d.index() as u8);
-                        }
-                    }
-                    put_u8(out, *class);
-                }
-            }
-        }
-    }
-}
-
-fn put_detector_state(out: &mut Vec<u8>, st: &DetectorState) {
-    put_u64(out, st.records.len() as u64);
-    for ((packet, seq), rec) in &st.records {
-        put_u64(out, packet.0);
-        put_u8(out, *seq);
-        put_u32(out, rec.faults);
-        put_bytes(out, &rec.syndromes);
-        put_u32(out, rec.obf_attempts);
-        put_bool(out, rec.clean_after_obf);
-    }
-    put_u64(out, st.total_faults);
-    put_u64(out, st.total_retransmissions);
-    put_u64(out, st.bist_requests);
-    put_u64(out, st.lob_escalations);
-    match st.bist_passed {
-        None => put_bool(out, false),
-        Some(p) => {
-            put_bool(out, true);
-            put_bool(out, p);
-        }
-    }
-}
-
-fn put_input_unit(out: &mut Vec<u8>, unit: &InputUnit) {
-    put_u64(out, unit.vcs.len() as u64);
-    for vc in &unit.vcs {
-        put_u64(out, vc.fifo.len() as u64);
-        for f in &vc.fifo {
-            put_flit(out, f);
-        }
-        put_u8(
-            out,
-            match vc.state {
-                VcState::Idle => 0,
-                VcState::Routing => 1,
-                VcState::VcAlloc => 2,
-                VcState::Active => 3,
-            },
-        );
-        match vc.route {
-            None => put_bool(out, false),
-            Some(p) => {
-                put_bool(out, true);
-                put_u8(out, p.index() as u8);
-            }
-        }
-        match vc.out_vc {
-            None => put_bool(out, false),
-            Some(v) => {
-                put_bool(out, true);
-                put_u8(out, v.0);
-            }
-        }
-        match vc.packet {
-            None => put_bool(out, false),
-            Some(p) => {
-                put_bool(out, true);
-                put_u64(out, p.0);
-            }
-        }
-        match vc.wire_packet {
-            None => put_bool(out, false),
-            Some(p) => {
-                put_bool(out, true);
-                put_u64(out, p.0);
-            }
-        }
-        put_u8(out, vc.expected_seq);
-        put_u64(out, vc.since);
-    }
-    put_detector_state(out, &unit.detector.export_state());
-    put_u64(out, unit.delayed.len() as u64);
-    for d in &unit.delayed {
-        put_u64(out, d.ready);
-        put_u8(out, d.vc.0);
-        put_flit(out, &d.flit);
-        put_u64(out, d.order);
-    }
-    put_u64(out, unit.pending_scrambles.len() as u64);
-    for s in &unit.pending_scrambles {
-        put_flit(out, &s.flit);
-        put_u8(out, s.vc.0);
-        put_u64(out, s.partner.0);
-        put_u64(out, s.arrived);
-        put_u32(out, s.penalty);
-        put_u64(out, s.order);
-    }
-    put_u64(out, unit.seen_words.len() as u64);
-    for (id, word) in &unit.seen_words {
-        put_u64(out, id.0);
-        put_u64(out, *word);
-    }
-    put_u64(out, unit.seen_head as u64);
-    put_u64(out, unit.next_order);
-    put_u8(out, fault_class_tag(unit.reported_class));
-    put_u64(out, unit.occupancy_high_water);
-}
-
-fn put_output_unit(out: &mut Vec<u8>, unit: &OutputUnit) {
-    put_u64(out, unit.entries.len() as u64);
-    for e in &unit.entries {
-        put_flit(out, &e.flit);
-        put_u8(out, e.vc.0);
-        put_u8(
-            out,
-            match e.state {
-                SlotState::NeedSend => 0,
-                SlotState::AwaitAck => 1,
-            },
-        );
-        put_u32(out, e.attempts);
-        put_u32(out, e.nacks);
-        put_opt_obf(out, e.obf.as_ref());
-        put_u64(out, e.sent_at);
-        put_u64(out, e.entered_at);
-    }
-    put_u64(out, unit.vc_owner.len() as u64);
-    for owner in &unit.vc_owner {
-        match owner {
-            None => put_bool(out, false),
-            Some(p) => {
-                put_bool(out, true);
-                put_u64(out, p.0);
-            }
-        }
-    }
-    put_u64(out, unit.credits.len() as u64);
-    for c in &unit.credits {
-        put_u8(out, *c);
-    }
-    put_opt_plan(out, unit.lob.logged_plan());
-    put_u64(out, unit.lob.attempts());
-    put_u64(out, unit.lob.successes());
-    // Both arbiter fields: `select_send` lazily rebuilds the arbiter
-    // (resetting the pointer) whenever its width differs from
-    // `total_capacity()`, so the width must survive the round trip too.
-    put_u64(out, unit.send_rr.next as u64);
-    put_u64(out, unit.send_rr.n as u64);
-    put_u64(out, unit.last_progress);
-    put_u64(out, unit.protected_dests.len() as u64);
-    for d in &unit.protected_dests {
-        put_u16(out, *d);
-    }
-    put_u64(out, unit.flits_sent);
-    put_u64(out, unit.retransmissions);
-    put_u64(out, unit.sab_credit_seen);
-}
-
-fn put_router(out: &mut Vec<u8>, r: &Router) {
-    put_u64(out, r.inputs.len() as u64);
-    for unit in &r.inputs {
-        put_input_unit(out, unit);
-    }
-    for unit in &r.outputs {
-        match unit {
-            None => put_bool(out, false),
-            Some(u) => {
-                put_bool(out, true);
-                put_output_unit(out, u);
-            }
-        }
-    }
-    for arb in &r.va_arb {
-        put_u64(out, arb.next as u64);
-    }
-    put_u64(out, r.sa_arb.len() as u64);
-    for arb in &r.sa_arb {
-        put_u64(out, arb.next as u64);
-    }
-    put_u64(out, r.st_pending.len() as u64);
-    for m in &r.st_pending {
-        put_flit(out, &m.flit);
-        put_u8(out, m.out_port.index() as u8);
-        match m.out_vc {
-            None => put_bool(out, false),
-            Some(v) => {
-                put_bool(out, true);
-                put_u8(out, v.0);
-            }
-        }
-        put_u64(out, m.granted_at);
-    }
-    for p in &r.pending_to_output {
-        put_u8(out, *p);
-    }
-}
-
-fn put_field_match_u8(out: &mut Vec<u8>, m: &Option<FieldMatch<u8>>) {
-    match m {
-        None => put_u8(out, 0),
-        Some(FieldMatch::Exact(v)) => {
-            put_u8(out, 1);
-            put_u8(out, *v);
-        }
-        Some(FieldMatch::Range(r)) => {
-            put_u8(out, 2);
-            put_u8(out, *r.start());
-            put_u8(out, *r.end());
-        }
-    }
-}
-
-fn put_field_match_u32(out: &mut Vec<u8>, m: &Option<FieldMatch<u32>>) {
-    match m {
-        None => put_u8(out, 0),
-        Some(FieldMatch::Exact(v)) => {
-            put_u8(out, 1);
-            put_u32(out, *v);
-        }
-        Some(FieldMatch::Range(r)) => {
-            put_u8(out, 2);
-            put_u32(out, *r.start());
-            put_u32(out, *r.end());
-        }
-    }
-}
-
-/// Encode link `i` of the SoA pool. Field order is identical to the old
-/// per-struct layout, so the wire format is unchanged.
-fn put_link(out: &mut Vec<u8>, lanes: &crate::link::LinkLanes, i: usize) {
-    match &lanes.flits[i] {
-        None => put_bool(out, false),
-        Some(lf) => {
-            put_bool(out, true);
-            put_u64(out, lanes.arrive_at[i]);
-            put_flit(out, &lf.flit);
-            put_u128(out, lf.codeword.0);
-            put_u64(out, lf.wire_word);
-            put_u8(out, lf.vc.0);
-            put_opt_obf(out, lf.obf.as_ref());
-        }
-    }
-    put_u64(out, lanes.acks[i].len() as u64);
-    for (at, msg) in &lanes.acks[i] {
-        put_u64(out, *at);
-        put_u64(out, msg.flit.0);
-        match msg.kind {
-            AckKind::Ack { obf_success } => {
-                put_u8(out, 0);
-                put_opt_plan(out, obf_success);
-            }
-            AckKind::Nack { lob_attempt } => {
-                put_u8(out, 1);
-                match lob_attempt {
-                    None => put_bool(out, false),
-                    Some(a) => {
-                        put_bool(out, true);
-                        put_u32(out, a);
+            fixed_len(c, "topo table rows", t.next.len())?;
+            for (row, classes) in t.next.iter_mut().zip(t.class.iter_mut()) {
+                fixed_len(c, "topo table row", row.len())?;
+                for (next, class) in row.iter_mut().zip(classes.iter_mut()) {
+                    persist!(c; next, class)?;
+                    if C::READING && *class > 2 {
+                        return Err(corrupt(format!("topo table vc class {class}")));
                     }
                 }
             }
-        }
-    }
-    put_u64(out, lanes.credits[i].len() as u64);
-    for (at, vc) in &lanes.credits[i] {
-        put_u64(out, *at);
-        put_u8(out, vc.0);
-    }
-    // Fault layer.
-    let faults = &lanes.faults[i];
-    put_f64(out, faults.transient_bit_prob);
-    put_u128(out, faults.stuck.stuck_one);
-    put_u128(out, faults.stuck.stuck_zero);
-    match &faults.trojan {
-        None => put_bool(out, false),
-        Some(ht) => {
-            put_bool(out, true);
-            let cfg = ht.config();
-            put_field_match_u8(out, &cfg.target.src);
-            put_field_match_u8(out, &cfg.target.dest);
-            put_field_match_u8(out, &cfg.target.vc);
-            put_field_match_u32(out, &cfg.target.mem);
-            put_u8(out, cfg.y_bits);
-            put_u8(out, cfg.wire_bits);
-            put_u32(out, cfg.cooldown);
-            put_bool(out, ht.kill_switch());
-            put_u8(
-                out,
-                match ht.state() {
-                    TaspState::Idle => 0,
-                    TaspState::Active => 1,
-                    TaspState::Attacking => 2,
-                },
-            );
-            match ht.last_injection() {
-                None => put_bool(out, false),
-                Some(c) => {
-                    put_bool(out, true);
-                    put_u64(out, c);
-                }
-            }
-            let stats = ht.stats();
-            put_u64(out, stats.inspections);
-            put_u64(out, stats.sightings);
-            put_u64(out, stats.injections);
-            put_u16(out, ht.payload_state());
-            put_u64(out, ht.payload_injections());
-        }
-    }
-    for s in faults.rng.state() {
-        put_u64(out, s);
-    }
-    put_u64(out, faults.transient_flips);
-    put_u64(out, faults.trojan_injections);
-    put_u64(out, lanes.flits_carried[i]);
-}
-
-fn put_tracer(out: &mut Vec<u8>, tracer: Option<&TraceRecorder>) {
-    match tracer {
-        None => put_bool(out, false),
-        Some(t) => {
-            put_bool(out, true);
-            put_u64(out, t.capacity as u64);
-            put_u64(out, t.emitted);
-            put_u64(out, t.dropped);
-            put_u64(out, t.buf.len() as u64);
-            for rec in &t.buf {
-                put_str(out, &rec.to_jsonl());
-            }
+            Ok(())
         }
     }
 }
 
-fn encode_sim(sim: &Simulator) -> Vec<u8> {
-    let mut p = Vec::with_capacity(64 * 1024);
-    put_u64(&mut p, sim.cycle);
-    put_u64(&mut p, sim.next_flit_id);
-    let mut birth: Vec<(u64, u64)> = sim.birth.iter().map(|(k, v)| (k.0, *v)).collect();
-    birth.sort_unstable();
-    put_u64(&mut p, birth.len() as u64);
-    for (packet, at) in birth {
-        put_u64(&mut p, packet);
-        put_u64(&mut p, at);
-    }
-    put_stats(&mut p, &sim.stats);
-    put_u64(&mut p, sim.events.len() as u64);
-    for e in &sim.events {
-        put_sim_event(&mut p, e);
-    }
-    put_u64(&mut p, sim.trace.len() as u64);
-    for e in &sim.trace {
-        put_trace_event(&mut p, e);
-    }
-    put_u64(&mut p, sim.last_progress_cycle);
-    put_u64(&mut p, sim.pending_quarantine.len() as u64);
-    for l in &sim.pending_quarantine {
-        put_u16(&mut p, l.0);
-    }
-    put_sim_error(&mut p, sim.poisoned.as_ref());
-    put_u64(&mut p, sim.watchdog_armed_at);
-    put_u64(&mut p, sim.snap_base.0);
-    put_u64(&mut p, sim.snap_base.1);
-    put_u64(&mut p, sim.snap_base.2);
-    put_u64(&mut p, sim.router_active.len() as u64);
-    for b in &sim.router_active {
-        put_bool(&mut p, *b);
-    }
-    put_u64(&mut p, sim.link_dead.len() as u64);
-    for b in &sim.link_dead {
-        put_bool(&mut p, *b);
-    }
-    put_u64(&mut p, sim.sabotage_eject_seen);
-    put_u64(&mut p, sim.inj_rr.len() as u64);
-    for r in &sim.inj_rr {
-        put_u8(&mut p, *r);
-    }
-    put_u64(&mut p, sim.inj_queues.len() as u64);
-    for q in &sim.inj_queues {
-        put_u64(&mut p, q.len() as u64);
-        for f in q {
-            put_flit(&mut p, f);
-        }
-    }
-    put_u64(&mut p, sim.dead_links.len() as u64);
-    for l in &sim.dead_links {
-        put_u16(&mut p, l.0);
-    }
-    put_routing(&mut p, &sim.routing);
-    // Metrics registry.
-    put_u64(&mut p, sim.metrics.links.len() as u64);
-    for l in &sim.metrics.links {
-        put_u64(&mut p, l.flits.get());
-        put_u64(&mut p, l.retransmissions.get());
-        put_u64(&mut p, l.ecc_corrected.get());
-        put_u64(&mut p, l.ecc_uncorrectable.get());
-        put_u64(&mut p, l.nacks.get());
-        put_u64(&mut p, l.bist_scans.get());
-        put_u64(&mut p, l.lob_selections.get());
-        for b in l.delivery_attempts.buckets() {
-            put_u64(&mut p, *b);
-        }
-        put_u64(&mut p, l.delivery_attempts.count());
-        put_u64(&mut p, l.delivery_attempts.max());
-    }
-    put_u64(&mut p, sim.metrics.routers.len() as u64);
-    for r in &sim.metrics.routers {
-        put_u64(&mut p, r.ejected_flits.get());
-        put_u64(&mut p, r.injection_stalls.get());
-        put_u64(&mut p, r.input_occupancy.current);
-        put_u64(&mut p, r.input_occupancy.high_water);
-        put_u64(&mut p, r.retx_occupancy.current);
-        put_u64(&mut p, r.retx_occupancy.high_water);
-        put_u64(&mut p, r.buffer_high_water);
-    }
-    put_tracer(&mut p, sim.tracer.as_ref());
-    put_u64(&mut p, sim.routers.len() as u64);
-    for r in &sim.routers {
-        put_router(&mut p, r);
-    }
-    put_u64(&mut p, sim.links.len() as u64);
-    for i in 0..sim.links.len() {
-        put_link(&mut p, &sim.links, i);
-    }
-    p
-}
+persist_fields!(FaultRecordState: faults, syndromes, obf_attempts, clean_after_obf);
 
-// ---------------------------------------------------------------------
-// Payload codec: leaf decoders
-// ---------------------------------------------------------------------
+persist_fields!(DetectorState:
+    records, total_faults, total_retransmissions, bist_requests, lob_escalations, bist_passed
+);
 
-fn get_header(r: &mut Reader) -> Result<Header, SnapshotError> {
-    Ok(Header {
-        src: NodeId(r.u16()?),
-        dest: NodeId(r.u16()?),
-        vc: VcId(r.u8()?),
-        mem_addr: r.u32()?,
-        thread: r.u8()?,
-        len: r.u8()?,
-    })
-}
+persist_enum!(VcState "vc state" { 0 => Idle, 1 => Routing, 2 => VcAlloc, 3 => Active });
 
-fn get_flit(r: &mut Reader) -> Result<Flit, SnapshotError> {
-    let id = FlitId(r.u64()?);
-    let packet = PacketId(r.u64()?);
-    let kind = match r.u8()? {
-        0 => FlitKind::Head,
-        1 => FlitKind::Body,
-        2 => FlitKind::Tail,
-        3 => FlitKind::Single,
-        t => return Err(corrupt(format!("flit kind tag {t}"))),
-    };
-    let seq = r.u8()?;
-    let header = get_header(r)?;
-    let word = r.u64()?;
-    Ok(Flit {
-        id,
-        packet,
-        kind,
-        seq,
-        header,
-        word,
-    })
-}
+persist_fields!(InputVc: fifo, state, route, out_vc, packet, wire_packet, expected_seq, since);
 
-fn get_plan(r: &mut Reader) -> Result<LobPlan, SnapshotError> {
-    let label = r.str()?;
-    LobPlan::from_label(&label).ok_or_else(|| corrupt(format!("lob plan label {label:?}")))
-}
+persist_fields!(DelayedEntry: ready, vc, flit, order);
 
-fn get_opt_plan(r: &mut Reader) -> Result<Option<LobPlan>, SnapshotError> {
-    Ok(if r.flag()? { Some(get_plan(r)?) } else { None })
-}
+persist_fields!(PendingScramble: flit, vc, partner, arrived, penalty, order);
 
-fn get_obf_wire(r: &mut Reader) -> Result<ObfWire, SnapshotError> {
-    let plan = get_plan(r)?;
-    let attempt = r.u32()?;
-    let partner = if r.flag()? {
-        Some(FlitId(r.u64()?))
-    } else {
-        None
-    };
-    Ok(ObfWire {
-        plan,
-        attempt,
-        partner,
-    })
-}
-
-fn get_opt_obf(r: &mut Reader) -> Result<Option<ObfWire>, SnapshotError> {
-    Ok(if r.flag()? {
-        Some(get_obf_wire(r)?)
-    } else {
-        None
-    })
-}
-
-fn get_fault_class(r: &mut Reader) -> Result<FaultClass, SnapshotError> {
-    Ok(match r.u8()? {
-        0 => FaultClass::None,
-        1 => FaultClass::Transient,
-        2 => FaultClass::Permanent,
-        3 => FaultClass::HardwareTrojan,
-        t => return Err(corrupt(format!("fault class tag {t}"))),
-    })
-}
-
-fn get_port(r: &mut Reader, ports: usize) -> Result<Port, SnapshotError> {
-    let i = r.u8()? as usize;
-    if i >= ports {
-        return Err(corrupt(format!("port index {i} >= {ports}")));
-    }
-    Ok(Port::from_index(i))
-}
-
-fn get_stall_report(r: &mut Reader) -> Result<StallReport, SnapshotError> {
-    decode_stall_report(&mut r.buf).ok_or_else(|| corrupt("stall report"))
-}
-
-fn get_sim_event(r: &mut Reader) -> Result<SimEvent, SnapshotError> {
-    Ok(match r.u8()? {
-        0 => SimEvent::PacketDelivered {
-            packet: PacketId(r.u64()?),
-            src: NodeId(r.u16()?),
-            dest: NodeId(r.u16()?),
-            injected_at: r.u64()?,
-            delivered_at: r.u64()?,
-        },
-        1 => SimEvent::BistRan {
-            link: LinkId(r.u16()?),
-            passed: r.bool()?,
-            cycle: r.u64()?,
-        },
-        2 => SimEvent::LinkClassified {
-            link: LinkId(r.u16()?),
-            class: get_fault_class(r)?,
-            cycle: r.u64()?,
-        },
-        3 => SimEvent::ObfuscationSucceeded {
-            link: LinkId(r.u16()?),
-            plan: get_plan(r)?,
-            cycle: r.u64()?,
-        },
-        4 => SimEvent::RetryBudgetEscalated {
-            link: LinkId(r.u16()?),
-            flit: FlitId(r.u64()?),
-            attempts: r.u32()?,
-            cycle: r.u64()?,
-        },
-        5 => SimEvent::LinkQuarantined {
-            link: LinkId(r.u16()?),
-            dropped_packets: r.u64()?,
-            dropped_flits: r.u64()?,
-            cycle: r.u64()?,
-        },
-        6 => SimEvent::WatchdogTripped {
-            report: get_stall_report(r)?,
-        },
-        t => return Err(corrupt(format!("sim event tag {t}"))),
-    })
-}
-
-fn get_trace_event(r: &mut Reader) -> Result<TraceEvent, SnapshotError> {
-    Ok(match r.u8()? {
-        0 => TraceEvent::Injected {
-            cycle: r.u64()?,
-            flit: FlitId(r.u64()?),
-            core: r.u16()?,
-        },
-        1 => TraceEvent::Launched {
-            cycle: r.u64()?,
-            flit: FlitId(r.u64()?),
-            link: LinkId(r.u16()?),
-            obfuscated: get_opt_plan(r)?,
-            attempt: r.u32()?,
-        },
-        2 => TraceEvent::Delivered {
-            cycle: r.u64()?,
-            flit: FlitId(r.u64()?),
-            link: LinkId(r.u16()?),
-            outcome: match r.u8()? {
-                0 => TraceOutcome::Clean,
-                1 => TraceOutcome::CorrectedSingleBit,
-                2 => TraceOutcome::Nacked {
-                    lob_requested: r.bool()?,
-                },
-                t => return Err(corrupt(format!("trace outcome tag {t}"))),
-            },
-        },
-        3 => TraceEvent::Ejected {
-            cycle: r.u64()?,
-            flit: FlitId(r.u64()?),
-            router: NodeId(r.u16()?),
-        },
-        t => return Err(corrupt(format!("trace event tag {t}"))),
-    })
-}
-
-fn get_sim_error(r: &mut Reader) -> Result<Option<SimError>, SnapshotError> {
-    Ok(match r.u8()? {
-        0 => None,
-        1 => Some(SimError::Stalled(Box::new(get_stall_report(r)?))),
-        2 => {
-            let cycle = r.u64()?;
-            let n = r.len()?;
-            let mut dead = Vec::with_capacity(n);
-            for _ in 0..n {
-                dead.push(LinkId(r.u16()?));
-            }
-            Some(SimError::MeshDisconnected { cycle, dead })
-        }
-        3 => {
-            let cycle = r.u64()?;
-            let n = r.len()?;
-            let mut violations = Vec::with_capacity(n);
-            for _ in 0..n {
-                violations.push(Violation {
-                    router: r.u16()?,
-                    what: r.str()?,
-                });
-            }
-            Some(SimError::InvariantViolations { cycle, violations })
-        }
-        t => return Err(corrupt(format!("sim error tag {t}"))),
-    })
-}
-
-fn get_stats(r: &mut Reader) -> Result<SimStats, SnapshotError> {
-    let n = r.len()?;
-    let mut snapshots = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        snapshots.push(StatsSnapshot {
-            cycle: r.u64()?,
-            input_util: r.u64()? as usize,
-            output_util: r.u64()? as usize,
-            injection_util: r.u64()? as usize,
-            routers_all_cores_full: r.u64()? as usize,
-            routers_half_cores_full: r.u64()? as usize,
-            routers_blocked_port: r.u64()? as usize,
-            delivered_flits: r.u64()?,
-            retransmissions: r.u64()?,
-            uncorrectable_faults: r.u64()?,
-        });
-    }
-    let mut s = SimStats {
-        snapshots,
-        injected_packets: r.u64()?,
-        delivered_packets: r.u64()?,
-        injected_flits: r.u64()?,
-        delivered_flits: r.u64()?,
-        latency_sum: r.u64()?,
-        latency_samples: r.u64()?,
-        latency_max: r.u64()?,
-        ..SimStats::default()
-    };
-    for b in s.latency_histogram.iter_mut() {
-        *b = r.u64()?;
-    }
-    s.retransmissions = r.u64()?;
-    s.corrected_faults = r.u64()?;
-    s.uncorrectable_faults = r.u64()?;
-    s.bist_scans = r.u64()?;
-    s.dropped_flits = r.u64()?;
-    s.dropped_packets = r.u64()?;
-    s.quarantined_links = r.u64()?;
-    s.budget_escalations = r.u64()?;
-    Ok(s)
-}
-
-fn get_routing(r: &mut Reader, n_routers: usize) -> Result<Routing, SnapshotError> {
-    Ok(match r.u8()? {
-        0 => Routing::Xy,
-        1 => {
-            let rows = r.len()?;
-            if rows != n_routers {
-                return Err(corrupt(format!("route table rows {rows} != {n_routers}")));
-            }
-            let mut next = Vec::with_capacity(rows);
-            for _ in 0..rows {
-                let cols = r.len()?;
-                if cols != n_routers {
-                    return Err(corrupt(format!("route table cols {cols} != {n_routers}")));
-                }
-                let mut row = Vec::with_capacity(cols);
-                for _ in 0..cols {
-                    row.push(if r.flag()? {
-                        Some(
-                            direction_from_u8(r.u8()?)
-                                .ok_or_else(|| corrupt("route table direction"))?,
-                        )
-                    } else {
-                        None
-                    });
-                }
-                next.push(row);
-            }
-            Routing::Table(RouteTables { next })
-        }
-        2 => Routing::OddEven,
-        3 => {
-            let rows = r.len()?;
-            if rows != n_routers {
-                return Err(corrupt(format!("topo table rows {rows} != {n_routers}")));
-            }
-            let mut next = Vec::with_capacity(rows);
-            let mut class = Vec::with_capacity(rows);
-            for _ in 0..rows {
-                let cols = r.len()?;
-                if cols != n_routers {
-                    return Err(corrupt(format!("topo table cols {cols} != {n_routers}")));
-                }
-                let mut row = Vec::with_capacity(cols);
-                let mut crow = Vec::with_capacity(cols);
-                for _ in 0..cols {
-                    row.push(if r.flag()? {
-                        Some(
-                            direction_from_u8(r.u8()?)
-                                .ok_or_else(|| corrupt("topo table direction"))?,
-                        )
-                    } else {
-                        None
-                    });
-                    let c = r.u8()?;
-                    if c > 2 {
-                        return Err(corrupt(format!("topo table vc class {c}")));
-                    }
-                    crow.push(c);
-                }
-                next.push(row);
-                class.push(crow);
-            }
-            Routing::Topo(crate::routing::TopoRoutes::from_parts(next, class))
-        }
-        t => return Err(corrupt(format!("routing tag {t}"))),
-    })
-}
-
-fn get_detector_state(r: &mut Reader) -> Result<DetectorState, SnapshotError> {
-    let n = r.len()?;
-    let mut records = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        let key = (PacketId(r.u64()?), r.u8()?);
-        records.push((
-            key,
-            FaultRecordState {
-                faults: r.u32()?,
-                syndromes: r.bytes()?,
-                obf_attempts: r.u32()?,
-                clean_after_obf: r.bool()?,
-            },
-        ));
-    }
-    Ok(DetectorState {
-        records,
-        total_faults: r.u64()?,
-        total_retransmissions: r.u64()?,
-        bist_requests: r.u64()?,
-        lob_escalations: r.u64()?,
-        bist_passed: if r.flag()? { Some(r.bool()?) } else { None },
-    })
-}
-
-fn restore_input_unit(
-    r: &mut Reader,
-    unit: &mut InputUnit,
-    ports: usize,
-) -> Result<(), SnapshotError> {
-    let vcs = r.len()?;
-    if vcs != unit.vcs.len() {
-        return Err(corrupt(format!("input vcs {vcs} != {}", unit.vcs.len())));
-    }
-    for vc in unit.vcs.iter_mut() {
-        let depth = r.len()?;
-        vc.fifo.clear();
-        for _ in 0..depth {
-            vc.fifo.push_back(get_flit(r)?);
-        }
-        vc.state = match r.u8()? {
-            0 => VcState::Idle,
-            1 => VcState::Routing,
-            2 => VcState::VcAlloc,
-            3 => VcState::Active,
-            t => return Err(corrupt(format!("vc state tag {t}"))),
-        };
-        vc.route = if r.flag()? {
-            Some(get_port(r, ports)?)
+impl Persist for InputUnit {
+    fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        fixed(c, "input vcs", &mut self.vcs)?;
+        let mut detector = if C::READING {
+            DetectorState::default()
         } else {
-            None
+            self.detector.export_state()
         };
-        vc.out_vc = if r.flag()? { Some(VcId(r.u8()?)) } else { None };
-        vc.packet = if r.flag()? {
-            Some(PacketId(r.u64()?))
-        } else {
-            None
-        };
-        vc.wire_packet = if r.flag()? {
-            Some(PacketId(r.u64()?))
-        } else {
-            None
-        };
-        vc.expected_seq = r.u8()?;
-        vc.since = r.u64()?;
+        detector.persist(c)?;
+        if C::READING {
+            self.detector.import_state(detector);
+        }
+        persist!(c; self.delayed, self.pending_scrambles, self.seen_words, self.seen_head)?;
+        if C::READING && self.seen_head > self.seen_words.len() {
+            return Err(corrupt("seen_head beyond ring"));
+        }
+        persist!(c; self.next_order, self.reported_class, self.occupancy_high_water)
     }
-    unit.detector.import_state(get_detector_state(r)?);
-    let n = r.len()?;
-    unit.delayed.clear();
-    for _ in 0..n {
-        unit.delayed.push(DelayedEntry {
-            ready: r.u64()?,
-            vc: VcId(r.u8()?),
-            flit: get_flit(r)?,
-            order: r.u64()?,
-        });
+}
+
+persist_enum!(default SlotState "slot state" { 0 => NeedSend, 1 => AwaitAck });
+
+persist_fields!(RetxEntry: flit, vc, state, attempts, nacks, obf, sent_at, entered_at);
+
+impl Persist for OutputUnit {
+    fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        self.entries.persist(c)?;
+        fixed(c, "vc_owner", &mut self.vc_owner)?;
+        fixed(c, "credits", &mut self.credits)?;
+        let lob = &mut self.lob;
+        let (mut logged, mut attempts, mut successes) =
+            (lob.logged_plan(), lob.attempts(), lob.successes());
+        persist!(c; logged, attempts, successes)?;
+        if C::READING {
+            lob.restore(logged, attempts, successes);
+        }
+        // Both arbiter fields: `select_send` lazily rebuilds the arbiter
+        // (resetting the pointer) whenever its width differs from
+        // `total_capacity()`, so the width must survive the round trip too.
+        let rr = &mut self.send_rr;
+        persist!(c; rr.next, rr.n)?;
+        if C::READING && (rr.n == 0 || rr.next >= rr.n) {
+            return Err(corrupt(format!("send_rr pointer {}/{}", rr.next, rr.n)));
+        }
+        persist!(c; self.last_progress, self.protected_dests, self.flits_sent)?;
+        persist!(c; self.retransmissions, self.sab_credit_seen)
     }
-    let n = r.len()?;
-    unit.pending_scrambles.clear();
-    for _ in 0..n {
-        unit.pending_scrambles.push(PendingScramble {
-            flit: get_flit(r)?,
-            vc: VcId(r.u8()?),
-            partner: FlitId(r.u64()?),
-            arrived: r.u64()?,
-            penalty: r.u32()?,
-            order: r.u64()?,
-        });
+}
+
+/// A round-robin pointer, checked against the arbiter's configured width.
+fn pointer<C: Codec>(c: &mut C, what: &str, arb: &mut RoundRobin) -> Result<(), SnapshotError> {
+    arb.next.persist(c)?;
+    if C::READING && arb.next >= arb.n {
+        return Err(corrupt(format!("{what} pointer {}/{}", arb.next, arb.n)));
     }
-    let n = r.len()?;
-    unit.seen_words.clear();
-    for _ in 0..n {
-        unit.seen_words.push((FlitId(r.u64()?), r.u64()?));
-    }
-    unit.seen_head = r.len()?;
-    if unit.seen_head > unit.seen_words.len() {
-        return Err(corrupt("seen_head beyond ring"));
-    }
-    unit.next_order = r.u64()?;
-    unit.reported_class = get_fault_class(r)?;
-    unit.occupancy_high_water = r.u64()?;
     Ok(())
 }
 
-fn restore_output_unit(r: &mut Reader, unit: &mut OutputUnit) -> Result<(), SnapshotError> {
-    let n = r.len()?;
-    unit.entries.clear();
-    for _ in 0..n {
-        unit.entries.push(RetxEntry {
-            flit: get_flit(r)?,
-            vc: VcId(r.u8()?),
-            state: match r.u8()? {
-                0 => SlotState::NeedSend,
-                1 => SlotState::AwaitAck,
-                t => return Err(corrupt(format!("slot state tag {t}"))),
-            },
-            attempts: r.u32()?,
-            nacks: r.u32()?,
-            obf: get_opt_obf(r)?,
-            sent_at: r.u64()?,
-            entered_at: r.u64()?,
-        });
-    }
-    let n = r.len()?;
-    if n != unit.vc_owner.len() {
-        return Err(corrupt(format!(
-            "vc_owner len {n} != {}",
-            unit.vc_owner.len()
-        )));
-    }
-    for owner in unit.vc_owner.iter_mut() {
-        *owner = if r.flag()? {
-            Some(PacketId(r.u64()?))
-        } else {
-            None
-        };
-    }
-    let n = r.len()?;
-    if n != unit.credits.len() {
-        return Err(corrupt(format!(
-            "credits len {n} != {}",
-            unit.credits.len()
-        )));
-    }
-    for c in unit.credits.iter_mut() {
-        *c = r.u8()?;
-    }
-    let logged = get_opt_plan(r)?;
-    let attempts = r.u64()?;
-    let successes = r.u64()?;
-    unit.lob.restore(logged, attempts, successes);
-    let next = r.len()?;
-    let n = r.len()?;
-    if n == 0 || next >= n {
-        return Err(corrupt(format!("send_rr pointer {next}/{n}")));
-    }
-    unit.send_rr = crate::arbiter::RoundRobin { next, n };
-    unit.last_progress = r.u64()?;
-    let n = r.len()?;
-    unit.protected_dests.clear();
-    for _ in 0..n {
-        unit.protected_dests.push(r.u16()?);
-    }
-    unit.flits_sent = r.u64()?;
-    unit.retransmissions = r.u64()?;
-    unit.sab_credit_seen = r.u64()?;
-    Ok(())
-}
+persist_fields!(StMove: flit, out_port, out_vc, granted_at);
 
-fn restore_router(r: &mut Reader, router: &mut Router, ports: usize) -> Result<(), SnapshotError> {
-    let n = r.len()?;
-    if n != router.inputs.len() {
-        return Err(corrupt(format!("inputs {n} != {}", router.inputs.len())));
-    }
-    for unit in router.inputs.iter_mut() {
-        restore_input_unit(r, unit, ports)?;
-    }
-    for unit in router.outputs.iter_mut() {
-        let present = r.flag()?;
-        match (present, unit.as_mut()) {
-            (true, Some(u)) => restore_output_unit(r, u)?,
-            (false, None) => {}
-            (got, _) => {
+impl Persist for Router {
+    fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        fixed(c, "router inputs", &mut self.inputs)?;
+        for unit in self.outputs.iter_mut() {
+            let mut present = unit.is_some();
+            present.persist(c)?;
+            if present != unit.is_some() {
                 return Err(corrupt(format!(
-                    "output presence {got} disagrees with mesh topology"
-                )))
+                    "output presence {present} disagrees with mesh topology"
+                )));
+            }
+            if let Some(u) = unit {
+                u.persist(c)?;
             }
         }
-    }
-    for arb in router.va_arb.iter_mut() {
-        let next = r.len()?;
-        if next >= arb.n {
-            return Err(corrupt(format!("va_arb pointer {next}/{}", arb.n)));
+        for arb in self.va_arb.iter_mut() {
+            pointer(c, "va_arb", arb)?;
         }
-        arb.next = next;
-    }
-    let n = r.len()?;
-    if n != router.sa_arb.len() {
-        return Err(corrupt(format!("sa_arb {n} != {}", router.sa_arb.len())));
-    }
-    for arb in router.sa_arb.iter_mut() {
-        let next = r.len()?;
-        if next >= arb.n {
-            return Err(corrupt(format!("sa_arb pointer {next}/{}", arb.n)));
+        fixed_len(c, "sa_arb", self.sa_arb.len())?;
+        for arb in self.sa_arb.iter_mut() {
+            pointer(c, "sa_arb", arb)?;
         }
-        arb.next = next;
+        persist!(c; self.st_pending, self.pending_to_output)?;
+        if C::READING {
+            let ports = self.inputs.len();
+            let routes = self
+                .inputs
+                .iter()
+                .flat_map(|u| &u.vcs)
+                .filter_map(|vc| vc.route);
+            let moves = self.st_pending.iter().map(|m| m.out_port);
+            if let Some(p) = routes.chain(moves).find(|p| p.index() >= ports) {
+                return Err(corrupt(format!("port index {} >= {ports}", p.index())));
+            }
+        }
+        Ok(())
     }
-    let n = r.len()?;
-    router.st_pending.clear();
-    for _ in 0..n {
-        router.st_pending.push(StMove {
-            flit: get_flit(r)?,
-            out_port: get_port(r, ports)?,
-            out_vc: if r.flag()? { Some(VcId(r.u8()?)) } else { None },
-            granted_at: r.u64()?,
-        });
+}
+
+/// `None`, `Exact(v)` or `Range(start..=end)` as tags 0, 1, 2.
+fn field_match<C: Codec, T>(c: &mut C, m: &mut Option<FieldMatch<T>>) -> Result<(), SnapshotError>
+where
+    T: Persist + Default + Copy,
+{
+    let (mut tag, mut a, mut b): (u8, T, T) = match m {
+        None => (0, T::default(), T::default()),
+        Some(FieldMatch::Exact(v)) => (1, *v, T::default()),
+        Some(FieldMatch::Range(r)) => (2, *r.start(), *r.end()),
+    };
+    tag.persist(c)?;
+    match tag {
+        0 => {}
+        1 => a.persist(c)?,
+        2 => persist!(c; a, b)?,
+        t => return Err(corrupt(format!("field match tag {t}"))),
     }
-    for p in router.pending_to_output.iter_mut() {
-        *p = r.u8()?;
+    if C::READING {
+        *m = match tag {
+            0 => None,
+            1 => Some(FieldMatch::Exact(a)),
+            _ => Some(FieldMatch::Range(a..=b)),
+        };
     }
     Ok(())
 }
 
-fn get_field_match_u8(r: &mut Reader) -> Result<Option<FieldMatch<u8>>, SnapshotError> {
-    Ok(match r.u8()? {
-        0 => None,
-        1 => Some(FieldMatch::Exact(r.u8()?)),
-        2 => {
-            let start = r.u8()?;
-            let end = r.u8()?;
-            Some(FieldMatch::Range(start..=end))
-        }
-        t => return Err(corrupt(format!("field match tag {t}"))),
-    })
+impl Persist for TargetSpec {
+    fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        field_match(c, &mut self.src)?;
+        field_match(c, &mut self.dest)?;
+        field_match(c, &mut self.vc)?;
+        field_match(c, &mut self.mem)
+    }
 }
 
-fn get_field_match_u32(r: &mut Reader) -> Result<Option<FieldMatch<u32>>, SnapshotError> {
-    Ok(match r.u8()? {
-        0 => None,
-        1 => Some(FieldMatch::Exact(r.u32()?)),
-        2 => {
-            let start = r.u32()?;
-            let end = r.u32()?;
-            Some(FieldMatch::Range(start..=end))
-        }
-        t => return Err(corrupt(format!("field match tag {t}"))),
-    })
-}
+persist_enum!(TaspState "tasp state" { 0 => Idle, 1 => Active, 2 => Attacking });
 
-/// Restore link `i` of the SoA pool (the mirror of [`put_link`]).
-fn restore_link(
-    r: &mut Reader,
-    lanes: &mut crate::link::LinkLanes,
-    i: usize,
-) -> Result<(), SnapshotError> {
-    if r.flag()? {
-        let at = r.u64()?;
-        let flit = get_flit(r)?;
-        let codeword = Codeword(r.u128()?);
-        let wire_word = r.u64()?;
-        let vc = VcId(r.u8()?);
-        let obf = get_opt_obf(r)?;
-        lanes.arrive_at[i] = at;
-        lanes.flits[i] = Some(LinkFlit {
-            flit,
-            codeword,
-            wire_word,
-            vc,
-            obf,
-        });
-    } else {
-        lanes.arrive_at[i] = u64::MAX;
-        lanes.flits[i] = None;
+/// A presence flag, then a mounted TASP instance: its design (target,
+/// counter width, reach, cooldown), then its runtime state.
+fn trojan<C: Codec>(c: &mut C, slot: &mut Option<TaspHt>) -> Result<(), SnapshotError> {
+    let mut present = slot.is_some();
+    present.persist(c)?;
+    if !present {
+        *slot = None;
+        return Ok(());
     }
-    let n = r.len()?;
-    lanes.acks[i] = VecDeque::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        let at = r.u64()?;
-        let flit = FlitId(r.u64()?);
-        let kind = match r.u8()? {
-            0 => AckKind::Ack {
-                obf_success: get_opt_plan(r)?,
-            },
-            1 => AckKind::Nack {
-                lob_attempt: if r.flag()? { Some(r.u32()?) } else { None },
-            },
-            t => return Err(corrupt(format!("ack kind tag {t}"))),
-        };
-        lanes.acks[i].push_back((at, AckMsg { flit, kind }));
+    let ht = slot.get_or_insert_with(|| TaspHt::new(TaspConfig::new(TargetSpec::default())));
+    let mut cfg = ht.config().clone();
+    let mut stats = ht.stats();
+    let (mut killsw, mut state, mut last) = (ht.kill_switch(), ht.state(), ht.last_injection());
+    let (mut payload, mut payload_injections) = (ht.payload_state(), ht.payload_injections());
+    persist!(c; cfg.target, cfg.y_bits, cfg.wire_bits, cfg.cooldown, killsw, state, last)?;
+    persist!(c; stats.inspections, stats.sightings, stats.injections, payload, payload_injections)?;
+    if C::READING {
+        // The payload FSM asserts its design and state; hostile input
+        // must fail typed instead (and the XOR mask is 128 bits wide).
+        let design_ok = (1..=10).contains(&cfg.y_bits) && (2..=128).contains(&cfg.wire_bits);
+        if !design_ok || payload >= 1 << cfg.y_bits {
+            return Err(corrupt(format!(
+                "tasp design y={} wires={} payload state {payload}",
+                cfg.y_bits, cfg.wire_bits
+            )));
+        }
+        *ht = TaspHt::new(cfg);
+        ht.restore_runtime(killsw, state, last, stats, payload, payload_injections);
     }
-    let n = r.len()?;
-    lanes.credits[i] = VecDeque::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        let at = r.u64()?;
-        lanes.credits[i].push_back((at, VcId(r.u8()?)));
-    }
-    let faults = &mut lanes.faults[i];
-    faults.transient_bit_prob = r.f64()?;
-    let stuck_one = r.u128()?;
-    let stuck_zero = r.u128()?;
-    faults.stuck = crate::fault::StuckWires {
-        stuck_one,
-        stuck_zero,
-    };
-    faults.trojan = if r.flag()? {
-        let target = TargetSpec {
-            src: get_field_match_u8(r)?,
-            dest: get_field_match_u8(r)?,
-            vc: get_field_match_u8(r)?,
-            mem: get_field_match_u32(r)?,
-        };
-        let mut cfg = TaspConfig::new(target);
-        cfg.y_bits = r.u8()?;
-        cfg.wire_bits = r.u8()?;
-        cfg.cooldown = r.u32()?;
-        let killsw = r.bool()?;
-        let state = match r.u8()? {
-            0 => TaspState::Idle,
-            1 => TaspState::Active,
-            2 => TaspState::Attacking,
-            t => return Err(corrupt(format!("tasp state tag {t}"))),
-        };
-        let last_injection = if r.flag()? { Some(r.u64()?) } else { None };
-        let stats = TaspStats {
-            inspections: r.u64()?,
-            sightings: r.u64()?,
-            injections: r.u64()?,
-        };
-        let payload_state = r.u16()?;
-        let payload_injections = r.u64()?;
-        let mut ht = TaspHt::new(cfg);
-        ht.restore_runtime(
-            killsw,
-            state,
-            last_injection,
-            stats,
-            payload_state,
-            payload_injections,
-        );
-        Some(ht)
-    } else {
-        None
-    };
-    let mut rng_state = [0u64; 4];
-    for s in rng_state.iter_mut() {
-        *s = r.u64()?;
-    }
-    faults.rng = StdRng::from_state(rng_state);
-    faults.transient_flips = r.u64()?;
-    faults.trojan_injections = r.u64()?;
-    lanes.flits_carried[i] = r.u64()?;
     Ok(())
 }
 
-struct TracerState {
-    capacity: usize,
-    emitted: u64,
-    dropped: u64,
-    records: Vec<Record>,
+/// The RNG's full internal state.
+impl Persist for StdRng {
+    fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        let mut state = self.state();
+        state.persist(c)?;
+        if C::READING {
+            *self = StdRng::from_state(state);
+        }
+        Ok(())
+    }
 }
 
-fn get_tracer(r: &mut Reader) -> Result<Option<TracerState>, SnapshotError> {
-    if !r.flag()? {
-        return Ok(None);
+persist_fields!(StuckWires: stuck_one, stuck_zero);
+
+impl Persist for LinkFaults {
+    fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        persist!(c; self.transient_bit_prob, self.stuck)?;
+        trojan(c, &mut self.trojan)?;
+        persist!(c; self.rng, self.transient_flips, self.trojan_injections)
     }
-    let capacity = r.len()?;
-    let emitted = r.u64()?;
-    let dropped = r.u64()?;
-    let n = r.len()?;
-    let mut records = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        let line = r.str()?;
-        records.push(Record::from_jsonl(&line).ok_or_else(|| corrupt("trace record jsonl"))?);
-    }
-    Ok(Some(TracerState {
-        capacity,
-        emitted,
-        dropped,
-        records,
-    }))
 }
 
-fn decode_sim(sim: &mut Simulator, payload: &[u8]) -> Result<(), SnapshotError> {
-    let ports = sim.cfg.ports();
-    let mut r = Reader::new(payload);
-    sim.cycle = r.u64()?;
-    sim.next_flit_id = r.u64()?;
-    let n = r.len()?;
-    sim.birth.clear();
-    for _ in 0..n {
-        let packet = PacketId(r.u64()?);
-        let at = r.u64()?;
-        sim.birth.insert(packet, at);
+persist_fields!(LinkFlit: flit, codeword, wire_word, vc, obf);
+
+persist_enum!(default AckKind "ack kind" { 0 => Ack { obf_success }, 1 => Nack { lob_attempt } });
+
+persist_fields!(AckMsg: flit, kind);
+
+/// Link `i` of the SoA pool: the wire (arrival cycle and flit), the
+/// reverse channels, the fault layer and the lifetime flit count.
+fn link<C: Codec>(c: &mut C, lanes: &mut LinkLanes, i: usize) -> Result<(), SnapshotError> {
+    let mut wire = lanes.flits[i].map(|lf| (lanes.arrive_at[i], lf));
+    wire.persist(c)?;
+    if C::READING {
+        // `u64::MAX` marks an idle wire.
+        (lanes.arrive_at[i], lanes.flits[i]) = match wire {
+            Some((at, lf)) => (at, Some(lf)),
+            None => (u64::MAX, None),
+        };
     }
-    sim.stats = get_stats(&mut r)?;
-    let n = r.len()?;
-    sim.events.clear();
-    for _ in 0..n {
-        let e = get_sim_event(&mut r)?;
-        sim.events.push(e);
-    }
-    let n = r.len()?;
-    sim.trace.clear();
-    for _ in 0..n {
-        let e = get_trace_event(&mut r)?;
-        sim.trace.push(e);
-    }
-    sim.last_progress_cycle = r.u64()?;
-    let n = r.len()?;
-    sim.pending_quarantine.clear();
-    for _ in 0..n {
-        sim.pending_quarantine.push(LinkId(r.u16()?));
-    }
-    sim.poisoned = get_sim_error(&mut r)?;
-    sim.watchdog_armed_at = r.u64()?;
-    sim.snap_base = (r.u64()?, r.u64()?, r.u64()?);
-    let n = r.len()?;
-    if n != sim.router_active.len() {
-        return Err(corrupt(format!(
-            "router_active {n} != {}",
-            sim.router_active.len()
-        )));
-    }
-    for b in sim.router_active.iter_mut() {
-        *b = r.bool()?;
-    }
-    let n = r.len()?;
-    if n != sim.link_dead.len() {
-        return Err(corrupt(format!("link_dead {n} != {}", sim.link_dead.len())));
-    }
-    for b in sim.link_dead.iter_mut() {
-        *b = r.bool()?;
-    }
-    sim.sabotage_eject_seen = r.u64()?;
-    let n = r.len()?;
-    if n != sim.inj_rr.len() {
-        return Err(corrupt(format!("inj_rr {n} != {}", sim.inj_rr.len())));
-    }
-    for p in sim.inj_rr.iter_mut() {
-        *p = r.u8()?;
-    }
-    let n = r.len()?;
-    if n != sim.inj_queues.len() {
-        return Err(corrupt(format!(
-            "inj_queues {n} != {}",
-            sim.inj_queues.len()
-        )));
-    }
-    for q in sim.inj_queues.iter_mut() {
-        let depth = r.len()?;
-        q.clear();
-        for _ in 0..depth {
-            q.push_back(get_flit(&mut r)?);
+    persist!(c; lanes.acks[i], lanes.credits[i], lanes.faults[i], lanes.flits_carried[i])
+}
+
+persist_fields!(PowHistogram: buckets, count, max);
+
+persist_fields!(Gauge: current, high_water);
+
+persist_fields!(LinkMetrics:
+    flits, retransmissions, ecc_corrected, ecc_uncorrectable, nacks, bist_scans, lob_selections,
+    delivery_attempts
+);
+
+persist_fields!(RouterMetrics:
+    ejected_flits, injection_stalls, input_occupancy, retx_occupancy, buffer_high_water
+);
+
+/// A presence flag, then the ring's capacity and counters and its records
+/// as JSONL lines (the trace schema's round-tripping text form). Reading
+/// keeps an attached sink: it belongs to the live simulator, not to the
+/// snapshot.
+fn tracer<C: Codec>(c: &mut C, slot: &mut Option<TraceRecorder>) -> Result<(), SnapshotError> {
+    let mut present = slot.is_some();
+    present.persist(c)?;
+    if !present {
+        if let Some(mut t) = slot.take() {
+            t.close_sink();
         }
+        return Ok(());
     }
-    let n = r.len()?;
-    sim.dead_links.clear();
-    for _ in 0..n {
-        let l = LinkId(r.u16()?);
-        if l.index() >= sim.link_dead.len() {
-            return Err(corrupt(format!("dead link {} out of range", l.0)));
+    let t = slot.get_or_insert_with(|| TraceRecorder::new(TraceConfig { capacity: 1 }));
+    let mut lines: Vec<String> = if C::READING {
+        Vec::new()
+    } else {
+        t.buf.iter().map(Record::to_jsonl).collect()
+    };
+    persist!(c; t.capacity, t.emitted, t.dropped, lines)?;
+    if C::READING {
+        t.capacity = t.capacity.max(1);
+        t.buf = lines
+            .iter()
+            .map(|line| Record::from_jsonl(line).ok_or_else(|| corrupt("trace record jsonl")))
+            .collect::<Result<_, _>>()?;
+    }
+    Ok(())
+}
+
+impl Persist for Simulator {
+    fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        // Sorted, so the bytes do not depend on hash-map iteration order.
+        let mut birth: Vec<(PacketId, u64)> = if C::READING {
+            Vec::new()
+        } else {
+            let mut b: Vec<_> = self.birth.iter().map(|(p, at)| (*p, *at)).collect();
+            b.sort_unstable();
+            b
+        };
+        persist!(c; self.cycle, self.next_flit_id, birth)?;
+        if C::READING {
+            self.birth.clear();
+            self.birth.extend(birth);
         }
-        sim.dead_links.push(l);
-    }
-    // `link_dead` is the O(1) mirror of `dead_links`; both are serialised,
-    // so their agreement doubles as an end-to-end decode check.
-    let marked = sim.link_dead.iter().filter(|d| **d).count();
-    if marked != sim.dead_links.len() || sim.dead_links.iter().any(|l| !sim.link_dead[l.index()]) {
-        return Err(corrupt("dead_links / link_dead mirror disagree"));
-    }
-    sim.routing = get_routing(&mut r, sim.mesh.routers())?;
-    let n = r.len()?;
-    if n != sim.metrics.links.len() {
-        return Err(corrupt(format!(
-            "link metrics {n} != {}",
-            sim.metrics.links.len()
-        )));
-    }
-    for l in sim.metrics.links.iter_mut() {
-        l.flits = crate::metrics::Counter(r.u64()?);
-        l.retransmissions = crate::metrics::Counter(r.u64()?);
-        l.ecc_corrected = crate::metrics::Counter(r.u64()?);
-        l.ecc_uncorrectable = crate::metrics::Counter(r.u64()?);
-        l.nacks = crate::metrics::Counter(r.u64()?);
-        l.bist_scans = crate::metrics::Counter(r.u64()?);
-        l.lob_selections = crate::metrics::Counter(r.u64()?);
-        let mut h = crate::metrics::PowHistogram::default();
-        for b in h.buckets.iter_mut() {
-            *b = r.u64()?;
-        }
-        h.count = r.u64()?;
-        h.max = r.u64()?;
-        l.delivery_attempts = h;
-    }
-    let n = r.len()?;
-    if n != sim.metrics.routers.len() {
-        return Err(corrupt(format!(
-            "router metrics {n} != {}",
-            sim.metrics.routers.len()
-        )));
-    }
-    for m in sim.metrics.routers.iter_mut() {
-        m.ejected_flits = crate::metrics::Counter(r.u64()?);
-        m.injection_stalls = crate::metrics::Counter(r.u64()?);
-        m.input_occupancy.current = r.u64()?;
-        m.input_occupancy.high_water = r.u64()?;
-        m.retx_occupancy.current = r.u64()?;
-        m.retx_occupancy.high_water = r.u64()?;
-        m.buffer_high_water = r.u64()?;
-    }
-    let tracer = get_tracer(&mut r)?;
-    match (sim.tracer.as_mut(), tracer) {
-        (Some(t), Some(state)) => {
-            // Keep the attached sink: it is the live simulator's property,
-            // not the snapshot's.
-            t.capacity = state.capacity.max(1);
-            t.emitted = state.emitted;
-            t.dropped = state.dropped;
-            t.buf = VecDeque::from(state.records);
-        }
-        (Some(_), None) => {
-            if let Some(t) = sim.tracer.as_mut() {
-                t.close_sink();
+        persist!(c; self.stats, self.events, self.trace, self.last_progress_cycle)?;
+        self.pending_quarantine.persist(c)?;
+        sim_error(c, &mut self.poisoned)?;
+        persist!(c; self.watchdog_armed_at, self.snap_base)?;
+        fixed(c, "router_active", &mut self.router_active)?;
+        fixed(c, "link_dead", &mut self.link_dead)?;
+        self.sabotage_eject_seen.persist(c)?;
+        fixed(c, "inj_rr", &mut self.inj_rr)?;
+        fixed(c, "inj_queues", &mut self.inj_queues)?;
+        self.dead_links.persist(c)?;
+        if C::READING {
+            if let Some(l) = self
+                .dead_links
+                .iter()
+                .find(|l| l.index() >= self.link_dead.len())
+            {
+                return Err(corrupt(format!("dead link {} out of range", l.0)));
             }
-            sim.tracer = None;
+            // `link_dead` is the O(1) mirror of `dead_links`; both are
+            // serialised, so their agreement doubles as a decode check.
+            let marked = self.link_dead.iter().filter(|d| **d).count();
+            if marked != self.dead_links.len()
+                || self.dead_links.iter().any(|l| !self.link_dead[l.index()])
+            {
+                return Err(corrupt("dead_links / link_dead mirror disagree"));
+            }
         }
-        (None, Some(state)) => {
-            let mut t = TraceRecorder::new(TraceConfig {
-                capacity: state.capacity.max(1),
-            });
-            t.emitted = state.emitted;
-            t.dropped = state.dropped;
-            t.buf = VecDeque::from(state.records);
-            sim.tracer = Some(t);
-        }
-        (None, None) => {}
+        routing(c, &mut self.routing, self.mesh.routers())?;
+        fixed(c, "link metrics", &mut self.metrics.links)?;
+        fixed(c, "router metrics", &mut self.metrics.routers)?;
+        tracer(c, &mut self.tracer)?;
+        fixed(c, "routers", &mut self.routers)?;
+        fixed_len(c, "links", self.links.len())?;
+        (0..self.links.len()).try_for_each(|i| link(c, &mut self.links, i))
     }
-    let n = r.len()?;
-    if n != sim.routers.len() {
-        return Err(corrupt(format!("routers {n} != {}", sim.routers.len())));
-    }
-    for router in sim.routers.iter_mut() {
-        restore_router(&mut r, router, ports)?;
-    }
-    let n = r.len()?;
-    if n != sim.links.len() {
-        return Err(corrupt(format!("links {n} != {}", sim.links.len())));
-    }
-    for i in 0..sim.links.len() {
-        restore_link(&mut r, &mut sim.links, i)?;
-    }
-    r.finish()
 }
 
 // ---------------------------------------------------------------------
@@ -2259,9 +1325,13 @@ impl Simulator {
     /// one built from an equal configuration) and stepping forward
     /// produces bit-identical cycles, statistics, events, and trace
     /// records — at every thread count. Legal at any cycle boundary.
-    pub fn snapshot(&self) -> SimSnapshot {
+    /// Takes `&mut self` because the one [`Persist`] walk that encodes
+    /// also decodes in place; encoding changes nothing.
+    pub fn snapshot(&mut self) -> SimSnapshot {
+        let mut w = Writer::with_capacity(64 * 1024);
+        w.put(self);
         SimSnapshot {
-            payload: encode_sim(self),
+            payload: w.into_bytes(),
             config_hash: self.config_hash,
             cycle: self.cycle,
             user_data: Vec::new(),
@@ -2289,7 +1359,9 @@ impl Simulator {
                 expected,
             });
         }
-        decode_sim(self, &snap.payload)?;
+        let mut r = Reader::new(&snap.payload);
+        self.persist(&mut r)?;
+        r.finish()?;
         if self.cycle != snap.cycle {
             return Err(corrupt("header/payload cycle disagree"));
         }
@@ -2454,7 +1526,7 @@ mod tests {
             packets: burst(40, 0),
         };
         first.run(230, &mut src);
-        let snap = snap_through_disk(&first);
+        let snap = snap_through_disk(&mut first);
         let mut second = Simulator::new(cfg);
         second.restore(&snap).unwrap();
         second.run(270, &mut src);
@@ -2466,7 +1538,7 @@ mod tests {
     }
 
     /// Round-trip a snapshot through the atomic on-disk format.
-    fn snap_through_disk(sim: &Simulator) -> SimSnapshot {
+    fn snap_through_disk(sim: &mut Simulator) -> SimSnapshot {
         let dir = scratch_dir("disk");
         let path = dir.join("s.snap");
         sim.snapshot().write_atomic(&path).unwrap();
@@ -2537,7 +1609,7 @@ mod tests {
 
     #[test]
     fn version_mismatch_is_typed_after_crc_passes() {
-        let sim = Simulator::new(SimConfig::paper());
+        let mut sim = Simulator::new(SimConfig::paper());
         let mut bytes = sim.snapshot().to_bytes();
         // Patch the version field inside the body, then re-seal the CRC so
         // only the version check can fire.
@@ -2655,11 +1727,12 @@ mod tests {
             delivered_flits: 3,
             heartbeat: None,
         };
-        let mut buf = Vec::new();
-        encode_stall_report(&mut buf, &report);
-        let mut input = buf.as_slice();
-        let back = decode_stall_report(&mut input).unwrap();
-        assert!(input.is_empty());
+        let mut w = Writer::default();
+        w.put(&mut report.clone());
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        let back: StallReport = r.get().unwrap();
+        r.finish().unwrap();
         assert_eq!(format!("{back:?}"), format!("{report:?}"));
     }
 
@@ -2698,5 +1771,331 @@ mod tests {
         assert_eq!(twin.cycle(), snap.cycle());
         assert_eq!(twin.snapshot().payload, snap.payload);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    // -----------------------------------------------------------------
+    // The payload decoder behind the CRC
+    // -----------------------------------------------------------------
+
+    /// `snap` with its payload replaced and the frame re-sealed (fresh
+    /// CRC), so only the payload decoder can reject it.
+    fn reseal(snap: &SimSnapshot, payload: &[u8]) -> SimSnapshot {
+        let mut s = snap.clone();
+        s.payload = payload.to_vec();
+        SimSnapshot::from_bytes(&s.to_bytes()).expect("a re-sealed frame is CRC-clean")
+    }
+
+    /// The paper configuration on a small fabric with two VCs, so every
+    /// payload offset can be tried.
+    fn small(mesh: noc_types::Mesh) -> SimConfig {
+        let mut cfg = SimConfig::paper();
+        cfg.mesh = mesh;
+        cfg.vcs = 2;
+        cfg.snapshot_interval = 40;
+        cfg
+    }
+
+    fn traffic(n: u64, routers: u64) -> ListSource {
+        let packets = (0..n)
+            .map(|i| {
+                let (src, dest) = (i % routers, (i + 1 + i / routers) % routers);
+                pkt(i + 1, i, src as u16, dest as u16, 1 + (i % 4) as u8)
+            })
+            .filter(|p| p.src != p.dest)
+            .collect();
+        ListSource { packets }
+    }
+
+    /// Small snapshots whose payloads reach every section: on a 2×1 mesh
+    /// trojans with exact and range targets, stuck wires, transients, a
+    /// trace ring, a traced packet, a watchdog event and a poisoned
+    /// simulator; table routing after a quarantine on a 2×2 mesh;
+    /// topology tables on a degraded 2×2 mesh.
+    fn small_cases() -> Vec<(SimConfig, SimSnapshot)> {
+        use noc_trojan::{FieldMatch, TargetSpec, TaspConfig, TaspHt};
+        let mut out = Vec::new();
+
+        let mut cfg = small(noc_types::Mesh::new(2, 1, 1));
+        cfg.trace = Some(TraceConfig { capacity: 6 });
+        cfg.trace_packet = Some(PacketId((2 << 32) | 1));
+        let mut sim = Simulator::new(cfg.clone());
+        let east = sim.mesh().link_out(NodeId(0), Direction::East).unwrap();
+        let west = sim.mesh().link_out(NodeId(1), Direction::West).unwrap();
+        let ranged = TargetSpec {
+            src: Some(FieldMatch::Range(0..=1)),
+            mem: Some(FieldMatch::Exact(0x40)),
+            ..TargetSpec::default()
+        };
+        let dest = TaspConfig::new(TargetSpec::dest(1));
+        sim.link_faults_mut(east).trojan = Some(TaspHt::new(dest));
+        sim.link_faults_mut(west).trojan = Some(TaspHt::new(TaspConfig::new(ranged)));
+        sim.link_faults_mut(west).stuck = crate::fault::StuckWires::new(1 << 5, 1 << 66);
+        sim.link_faults_mut(east).transient_bit_prob = 0.01;
+        sim.arm_trojans(true);
+        sim.run(30, &mut traffic(24, 2));
+        let report = StallReport {
+            cycle: 9,
+            kind: StallKind::CreditStall {
+                router: NodeId(1),
+                dir: Direction::West,
+                oldest_age: 7,
+            },
+            ..StallReport::default()
+        };
+        sim.events.push(SimEvent::WatchdogTripped { report });
+        sim.poisoned = Some(SimError::InvariantViolations {
+            cycle: 4,
+            violations: vec![crate::invariants::Violation {
+                router: 1,
+                what: "über".into(),
+            }],
+        });
+        out.push((cfg, sim.snapshot()));
+
+        let cfg = small(noc_types::Mesh::new(2, 2, 1));
+        let mut sim = Simulator::new(cfg.clone());
+        let mut src = traffic(16, 4);
+        sim.run(20, &mut src);
+        sim.quarantine_link(LinkId(0)).unwrap();
+        sim.run(10, &mut src);
+        out.push((cfg, sim.snapshot()));
+
+        let degraded = noc_types::Mesh::new_degraded(2, 2, 1, &[(NodeId(0), Direction::East)]);
+        let cfg = small(degraded);
+        let mut sim = Simulator::new(cfg.clone());
+        sim.run(25, &mut traffic(12, 4));
+        out.push((cfg, sim.snapshot()));
+        out
+    }
+
+    /// Every payload truncation is `Corrupt`; every single-byte overwrite
+    /// restores or fails typed — never a panic. The CRC is re-sealed each
+    /// time, so these mutations reach the decoder the CRC shields.
+    #[test]
+    fn payload_mutations_are_typed_errors_never_panics() {
+        for (case, (cfg, snap)) in small_cases().into_iter().enumerate() {
+            let payload = snap.payload().to_vec();
+            let mut sim = Simulator::new(cfg.clone());
+            for cut in 0..payload.len() {
+                match sim.restore(&reseal(&snap, &payload[..cut])) {
+                    Err(SnapshotError::Corrupt(_)) => {}
+                    other => panic!("case {case}: {cut}-byte payload gave {other:?}"),
+                }
+            }
+            for at in 0..payload.len() {
+                let mut mutated = payload.clone();
+                mutated[at] ^= 0xff;
+                match sim.restore(&reseal(&snap, &mutated)) {
+                    Ok(()) | Err(SnapshotError::Corrupt(_)) => {}
+                    Err(e) => panic!("case {case}: byte {at} inverted: {e:?}"),
+                }
+            }
+            sim.restore(&snap)
+                .expect("the intact payload still restores");
+            assert_eq!(sim.snapshot().payload(), snap.payload(), "case {case}");
+        }
+    }
+
+    /// `restore` of a donor whose crate-private state breaks one decode
+    /// check must fail with a `Corrupt` naming that check.
+    fn rejects(what: &str, mutate: impl FnOnce(&mut Simulator)) {
+        let cfg = small(noc_types::Mesh::new(2, 2, 1));
+        let mut donor = Simulator::new(cfg.clone());
+        donor.run(20, &mut NoTraffic);
+        mutate(&mut donor);
+        let snap = donor.snapshot();
+        match Simulator::new(cfg).restore(&snap) {
+            Err(SnapshotError::Corrupt(msg)) if msg.contains(what) => {}
+            other => panic!("{what}: {other:?}"),
+        }
+    }
+
+    /// Decode one `T` from `bytes`; it must fail with a `Corrupt` naming
+    /// `what`.
+    fn rejects_bytes<T: Persist + Default + std::fmt::Debug>(what: &str, bytes: &[u8]) {
+        match Reader::new(bytes).get::<T>() {
+            Err(SnapshotError::Corrupt(msg)) if msg.contains(what) => {}
+            other => panic!("{what}: {other:?}"),
+        }
+    }
+
+    fn encoded(mut value: impl Persist) -> Vec<u8> {
+        let mut w = Writer::default();
+        w.put(&mut value);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn every_value_check_rejects_its_input() {
+        rejects_bytes::<u64>("ends mid-field", &[1, 2, 3]);
+        rejects_bytes::<bool>("bool byte 2", &[2]);
+        rejects_bytes::<String>("UTF-8", &encoded(vec![0xffu8, 0xfe]));
+        rejects_bytes::<String>("ends mid-field", &encoded(u64::MAX));
+        rejects_bytes::<Vec<u64>>("ends mid-field", &encoded(u64::MAX));
+        rejects_bytes::<LobPlan>("lob plan label", &encoded("invert:sideways".to_string()));
+        rejects_bytes::<FlitKind>("flit kind tag 4", &[4]);
+        rejects_bytes::<FaultClass>("fault class tag 4", &[4]);
+        rejects_bytes::<Direction>("direction tag 4", &[4]);
+        rejects_bytes::<StallKind>("stall kind tag 3", &[3]);
+        rejects_bytes::<SimEvent>("sim event tag 7", &[7]);
+        rejects_bytes::<TraceEvent>("trace event tag 4", &[4]);
+        rejects_bytes::<TraceOutcome>("trace outcome tag 3", &[3]);
+        rejects_bytes::<SlotState>("slot state tag 2", &[2]);
+        rejects_bytes::<AckKind>("ack kind tag 2", &[2]);
+        rejects_bytes::<TargetSpec>("field match tag 3", &[3]);
+        let mut state = VcState::Idle;
+        assert!(
+            state.persist(&mut Reader::new(&[4])).is_err(),
+            "vc state tag"
+        );
+        let mut tasp = TaspState::Idle;
+        assert!(
+            tasp.persist(&mut Reader::new(&[3])).is_err(),
+            "tasp state tag"
+        );
+        let mut err = None;
+        assert!(
+            sim_error(&mut Reader::new(&[4]), &mut err).is_err(),
+            "sim error tag"
+        );
+        let mut r = Routing::Xy;
+        assert!(
+            routing(&mut Reader::new(&[4]), &mut r, 4).is_err(),
+            "routing tag"
+        );
+        let jsonl = encoded((true, (3usize, 0u64), (0u64, vec!["{".to_string()])));
+        assert!(
+            matches!(tracer(&mut Reader::new(&jsonl), &mut None), Err(SnapshotError::Corrupt(m)) if m.contains("jsonl")),
+            "trace record jsonl"
+        );
+        // TASP designs the payload FSM would assert on: counter width 0
+        // and 11, a 1-wire and a 200-wire bundle, a payload state past 2^y.
+        for (y_bits, wires, payload) in [
+            (0u8, 72u8, 0u16),
+            (11, 72, 0),
+            (2, 1, 0),
+            (2, 200, 0),
+            (2, 72, 4),
+        ] {
+            let mut w = Writer::default();
+            w.put(&mut (true, TargetSpec::default()));
+            w.put(&mut (y_bits, wires, 0u32));
+            w.put(&mut (false, TaspState::Idle, None::<u64>));
+            w.put(&mut ([0u64; 3], payload, 0u64));
+            let bytes = w.into_bytes();
+            match trojan(&mut Reader::new(&bytes), &mut None) {
+                Err(SnapshotError::Corrupt(m)) if m.contains("tasp design") => {}
+                other => panic!("y={y_bits} wires={wires} state={payload}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn every_shape_check_rejects_its_input() {
+        use crate::routing::RouteTables;
+        rejects("router_active", |s| s.router_active.push(true));
+        rejects("link_dead", |s| s.link_dead.push(false));
+        rejects("inj_rr", |s| s.inj_rr.push(0));
+        rejects("inj_queues", |s| s.inj_queues.push(VecDeque::new()));
+        rejects("link metrics", |s| s.metrics.links.push(Default::default()));
+        rejects("router metrics", |s| {
+            s.metrics.routers.push(Default::default())
+        });
+        rejects("routers", |s| {
+            let extra = Router::new(NodeId(0), &s.mesh, &s.cfg);
+            s.routers.push(extra);
+        });
+        rejects("links", |s| {
+            let l = &mut s.links;
+            l.arrive_at.push(u64::MAX);
+            l.flits.push(None);
+            l.acks.push(VecDeque::new());
+            l.credits.push(VecDeque::new());
+            l.faults.push(LinkFaults::healthy(0));
+            l.flits_carried.push(0);
+        });
+        rejects("router inputs", |s| {
+            let unit = InputUnit::new(s.cfg.vcs, Default::default());
+            s.routers[0].inputs.push(unit);
+        });
+        rejects("input vcs", |s| {
+            let vc = s.routers[1].inputs[0].vcs[0].clone();
+            s.routers[1].inputs[0].vcs.push(vc);
+        });
+        rejects("seen_head beyond ring", |s| {
+            s.routers[0].inputs[0].seen_head = 1
+        });
+        rejects("vc_owner", |s| {
+            s.routers[0].outputs[0]
+                .as_mut()
+                .unwrap()
+                .vc_owner
+                .push(None)
+        });
+        rejects("credits", |s| {
+            s.routers[0].outputs[0].as_mut().unwrap().credits.push(4)
+        });
+        rejects("send_rr pointer", |s| {
+            let rr = &mut s.routers[0].outputs[0].as_mut().unwrap().send_rr;
+            rr.next = rr.n;
+        });
+        rejects("output presence", |s| s.routers[0].outputs[0] = None);
+        rejects("va_arb pointer", |s| s.routers[2].va_arb[3].next = 64);
+        rejects("sa_arb pointer", |s| s.routers[2].sa_arb[1].next = 64);
+        rejects("sa_arb", |s| s.routers[2].sa_arb.push(RoundRobin::new(1)));
+        rejects("port index", |s| {
+            s.routers[3].inputs[2].vcs[1].route = Some(Port::Local(1));
+        });
+        rejects("port index", |s| {
+            let flit = Flit::default();
+            s.routers[3].st_pending.push(StMove {
+                flit,
+                out_port: Port::Local(3),
+                out_vc: None,
+                granted_at: 0,
+            });
+        });
+        rejects("dead link 99 out of range", |s| {
+            s.dead_links.push(LinkId(99))
+        });
+        rejects("mirror disagree", |s| s.dead_links.push(LinkId(0)));
+        rejects("mirror disagree", |s| s.link_dead[1] = true);
+        rejects("route table rows", |s| {
+            s.routing = Routing::Table(RouteTables {
+                next: vec![vec![None; 4]; 3],
+            })
+        });
+        rejects("route table row", |s| {
+            let mut next = vec![vec![None; 4]; 4];
+            next[2].pop();
+            s.routing = Routing::Table(RouteTables { next });
+        });
+        let topo = |rows: usize, cols: usize, class: u8| {
+            Routing::Topo(TopoRoutes::from_parts(
+                vec![vec![None; cols]; rows],
+                vec![vec![class; cols]; rows],
+            ))
+        };
+        rejects("topo table rows", |s| s.routing = topo(5, 4, 0));
+        rejects("topo table row", |s| s.routing = topo(4, 3, 0));
+        rejects("topo table vc class 3", |s| s.routing = topo(4, 4, 3));
+    }
+
+    #[test]
+    fn framing_checks_reject_their_input() {
+        let (cfg, snap) = small_cases().swap_remove(0);
+        let mut sim = Simulator::new(cfg);
+        let mut long = snap.payload().to_vec();
+        long.push(0);
+        match sim.restore(&reseal(&snap, &long)) {
+            Err(SnapshotError::Corrupt(m)) if m.contains("1 trailing bytes") => {}
+            other => panic!("trailing payload byte: {other:?}"),
+        }
+        let mut late = snap.clone();
+        late.cycle += 1;
+        match sim.restore(&late) {
+            Err(SnapshotError::Corrupt(m)) if m.contains("cycle disagree") => {}
+            other => panic!("header/payload cycle: {other:?}"),
+        }
     }
 }

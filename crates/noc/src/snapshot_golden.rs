@@ -120,19 +120,11 @@ fn stall_reports() -> Vec<StallReport> {
 
 /// The driver-owned section the campaign writes: its stall log, then the
 /// traffic cursor (poll count, RNG state, next packet id).
-fn user_data(stalls: &[StallReport], src: &Stream) -> Vec<u8> {
-    use crate::snapshot::{encode_stall_report, put_u64};
-    let mut out = Vec::new();
-    put_u64(&mut out, stalls.len() as u64);
-    for s in stalls {
-        encode_stall_report(&mut out, s);
-    }
-    put_u64(&mut out, src.polled);
-    for s in src.rng.state() {
-        put_u64(&mut out, s);
-    }
-    put_u64(&mut out, src.next_id);
-    out
+fn user_data(mut stalls: Vec<StallReport>, src: &mut Stream) -> Vec<u8> {
+    let mut w = crate::snapshot::Writer::default();
+    w.put(&mut stalls);
+    w.put(&mut (&mut src.polled, &mut src.rng, &mut src.next_id));
+    w.into_bytes()
 }
 
 /// Every `SimEvent` and `TraceEvent` variant (and trace outcome), every
@@ -339,7 +331,7 @@ fn scenarios() -> Vec<Case> {
     sim.run(90, &mut src);
     take("mesh_quarantine+user_data", &mut sim, &mut out);
     let last = out.last_mut().expect("just pushed");
-    last.2.set_user_data(user_data(&stall_reports(), &src));
+    last.2.set_user_data(user_data(stall_reports(), &mut src));
 
     // Odd-even adaptive routing, per-VC retransmission buffers.
     let mut cfg = SimConfig::paper();

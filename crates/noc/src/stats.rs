@@ -2,7 +2,7 @@
 //! aggregate counters behind Figs. 1, 2, and 10.
 
 /// One per-interval sample of network pressure (Figs. 11/12 series).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Snapshot {
     /// Simulation cycle of the sample.
     pub cycle: u64,

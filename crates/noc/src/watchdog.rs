@@ -100,7 +100,7 @@ impl StallKind {
 /// checkpointed/uninterrupted runs compare equal regardless of whether
 /// telemetry was armed. The checkpoint codec skips it for the same
 /// reason.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct StallReport {
     /// Cycle the watchdog tripped.
     pub cycle: u64,

@@ -7,8 +7,10 @@
 
 use noc_sim::config::RetxScheme;
 use noc_sim::routing::xy_direction;
-use noc_sim::snapshot::{put_u64, take_u64};
-use noc_sim::{LinkFaults, SimConfig, SimSnapshot, Simulator, SnapshotError, TrafficSource};
+use noc_sim::{
+    LinkFaults, Persist, Reader, SimConfig, SimSnapshot, Simulator, SnapshotError, TrafficSource,
+    Writer,
+};
 use noc_trojan::{TargetSpec, TaspConfig, TaspHt};
 use noc_types::{Direction, Mesh, NodeId, Packet, PacketId, VcId};
 use proptest::prelude::*;
@@ -33,6 +35,16 @@ impl RandSource {
             next_id: 1,
             until,
         }
+    }
+}
+
+impl RandSource {
+    fn cursor(&mut self) -> impl Persist + '_ {
+        (
+            &mut self.polled,
+            &mut self.rng,
+            (&mut self.next_id, &mut self.until),
+        )
     }
 }
 
@@ -71,32 +83,12 @@ impl TrafficSource for RandSource {
         false
     }
 
-    fn save_cursor(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.polled);
-        for s in self.rng.state() {
-            put_u64(out, s);
-        }
-        put_u64(out, self.next_id);
-        put_u64(out, self.until);
+    fn save_cursor(&mut self, w: &mut Writer) {
+        w.put(&mut self.cursor());
     }
 
-    fn load_cursor(&mut self, input: &mut &[u8]) {
-        let (Some(polled), Some(a), Some(b), Some(c), Some(d)) = (
-            take_u64(input),
-            take_u64(input),
-            take_u64(input),
-            take_u64(input),
-            take_u64(input),
-        ) else {
-            return;
-        };
-        let (Some(next_id), Some(until)) = (take_u64(input), take_u64(input)) else {
-            return;
-        };
-        self.polled = polled;
-        self.rng = StdRng::from_state([a, b, c, d]);
-        self.next_id = next_id;
-        self.until = until;
+    fn load_cursor(&mut self, r: &mut Reader<'_>) -> Result<(), SnapshotError> {
+        self.cursor().persist(r)
     }
 }
 
@@ -186,9 +178,9 @@ fn checkpoint_resume_matches(
         quarantine_hot_link(&mut first);
     }
     let mut snap = first.snapshot();
-    let mut cursor = Vec::new();
+    let mut cursor = Writer::default();
     src.save_cursor(&mut cursor);
-    snap.set_user_data(cursor);
+    snap.set_user_data(cursor.into_bytes());
     let bytes = snap.to_bytes();
     drop(first);
     let _ = src;
@@ -197,9 +189,9 @@ fn checkpoint_resume_matches(
     let mut resumed = build_sim(scheme, threads, trojan, topo);
     resumed.restore(&snap).expect("snapshot restores");
     let mut resumed_src = RandSource::new(0, 0);
-    let mut cursor = snap.user_data();
-    resumed_src.load_cursor(&mut cursor);
-    prop_assert!(cursor.is_empty(), "cursor fully consumed");
+    let mut cursor = Reader::new(snap.user_data());
+    resumed_src.load_cursor(&mut cursor).expect("cursor loads");
+    prop_assert!(cursor.finish().is_ok(), "cursor fully consumed");
     resumed.run(extra, &mut resumed_src);
 
     let resumed_snap = resumed.snapshot();

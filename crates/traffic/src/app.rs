@@ -8,7 +8,7 @@
 //! back at an elevated rate (master→worker replies). On/off bursts add the
 //! temporal texture of barrier-synchronised phases.
 
-use noc_sim::TrafficSource;
+use noc_sim::{Persist, Reader, SnapshotError, TrafficSource, Writer};
 use noc_types::{CoreId, Mesh, NodeId, Packet, PacketId, VcId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -325,30 +325,16 @@ impl TrafficSource for AppModel {
         }
     }
 
-    fn save_cursor(&self, out: &mut Vec<u8>) {
-        noc_sim::snapshot::put_u64(out, self.polled);
-        for s in self.rng.state() {
-            noc_sim::snapshot::put_u64(out, s);
-        }
-        noc_sim::snapshot::put_u64(out, self.next_packet);
+    fn save_cursor(&mut self, w: &mut Writer) {
+        w.put(&mut crate::rng_cursor(
+            &mut self.polled,
+            &mut self.rng,
+            &mut self.next_packet,
+        ));
     }
 
-    fn load_cursor(&mut self, input: &mut &[u8]) {
-        use noc_sim::snapshot::take_u64;
-        let Some(polled) = take_u64(input) else {
-            return;
-        };
-        let mut state = [0u64; 4];
-        for s in state.iter_mut() {
-            let Some(v) = take_u64(input) else { return };
-            *s = v;
-        }
-        let Some(next_packet) = take_u64(input) else {
-            return;
-        };
-        self.polled = polled;
-        self.rng = StdRng::from_state(state);
-        self.next_packet = next_packet;
+    fn load_cursor(&mut self, r: &mut Reader<'_>) -> Result<(), SnapshotError> {
+        crate::rng_cursor(&mut self.polled, &mut self.rng, &mut self.next_packet).persist(r)
     }
 }
 

@@ -7,7 +7,7 @@
 //! configurations as needed. Replay is how the figure harnesses guarantee
 //! that every strategy in a comparison saw *the same* offered workload.
 
-use noc_sim::TrafficSource;
+use noc_sim::{Persist, Reader, SnapshotError, TrafficSource, Writer};
 use noc_types::Packet;
 
 /// One recorded injection.
@@ -111,12 +111,12 @@ impl<S: TrafficSource> TrafficSource for Recorder<S> {
     // The cursor delegates to the wrapped source; the already-captured
     // trace prefix is not part of the cursor (a resumed recorder records
     // only from the resume point onward).
-    fn save_cursor(&self, out: &mut Vec<u8>) {
-        self.inner.save_cursor(out);
+    fn save_cursor(&mut self, w: &mut Writer) {
+        self.inner.save_cursor(w);
     }
 
-    fn load_cursor(&mut self, input: &mut &[u8]) {
-        self.inner.load_cursor(input);
+    fn load_cursor(&mut self, r: &mut Reader<'_>) -> Result<(), SnapshotError> {
+        self.inner.load_cursor(r)
     }
 }
 
@@ -159,14 +159,14 @@ impl TrafficSource for Replay {
         }
     }
 
-    fn save_cursor(&self, out: &mut Vec<u8>) {
-        noc_sim::snapshot::put_u64(out, self.next as u64);
+    fn save_cursor(&mut self, w: &mut Writer) {
+        w.put(&mut self.next);
     }
 
-    fn load_cursor(&mut self, input: &mut &[u8]) {
-        if let Some(next) = noc_sim::snapshot::take_u64(input) {
-            self.next = (next as usize).min(self.entries.len());
-        }
+    fn load_cursor(&mut self, r: &mut Reader<'_>) -> Result<(), SnapshotError> {
+        self.next.persist(r)?;
+        self.next = self.next.min(self.entries.len());
+        Ok(())
     }
 }
 

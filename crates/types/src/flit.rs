@@ -11,9 +11,10 @@ use crate::header::Header;
 use crate::ids::{FlitId, PacketId};
 
 /// Position of a flit within its packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum FlitKind {
     /// First flit of a multi-flit packet; carries the header on the wire.
+    #[default]
     Head,
     /// Interior flit.
     Body,
@@ -39,7 +40,7 @@ impl FlitKind {
 
 /// One flit. Cheap to copy; the simulator moves these by value through
 /// buffers, the crossbar, and links.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Flit {
     /// Globally unique flit id.
     pub id: FlitId,

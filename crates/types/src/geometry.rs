@@ -33,9 +33,10 @@ impl Coord {
 
 /// One of the four mesh directions. The paper labels these ±x / ±y; we use
 /// compass names with East = +x and North = +y.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Direction {
     /// Toward +x.
+    #[default]
     East,
     /// Toward -x.
     West,
@@ -97,6 +98,13 @@ pub enum Port {
     Net(Direction),
     /// Local port for the `n`-th concentrated core on this router.
     Local(u8),
+}
+
+/// Port 0, the East network port.
+impl Default for Port {
+    fn default() -> Self {
+        Port::Net(Direction::East)
+    }
 }
 
 impl Port {

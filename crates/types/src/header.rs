@@ -54,7 +54,7 @@ impl HeaderLayout {
 }
 
 /// Logical packet header carried by head flits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct Header {
     /// Source router.
     pub src: NodeId,

@@ -8,7 +8,7 @@
 /// `0..16`; larger research meshes (16×16, 32×32) push it past a byte, so
 /// the simulator-side id is 16 bits. The *wire* header still encodes the
 /// paper's 4-bit field — see `Header::pack` for the aliasing rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u16);
 
 impl NodeId {
@@ -36,7 +36,7 @@ impl CoreId {
 /// Identifies one *unidirectional* router-to-router link. The 4×4 mesh has
 /// 48 of them (24 neighbour pairs × 2 directions), matching the paper's
 /// "TASP on all 48 links" worst case.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LinkId(pub u16);
 
 impl LinkId {
@@ -48,7 +48,7 @@ impl LinkId {
 }
 
 /// A virtual-channel index within a port (`0..4` in the paper configuration).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VcId(pub u8);
 
 impl VcId {
@@ -60,11 +60,11 @@ impl VcId {
 }
 
 /// Globally unique packet identifier, assigned at injection time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PacketId(pub u64);
 
 /// Globally unique flit identifier, assigned at packetisation time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FlitId(pub u64);
 
 #[cfg(test)]
