@@ -12,10 +12,17 @@
 //! on the sharded cycle engine at 2, 4, and 8 worker threads and require
 //! byte-identity with the *committed sequential* golden — the parallel
 //! path can never regenerate a golden, only match one.
+//!
+//! Every scenario also ends with a fingerprint of its per-router and
+//! per-link counters (`routers_csv`, `links_csv`), checked against
+//! `tests/golden/counters.txt` at every thread count. Those counters
+//! (injection stalls among them) appear in no `SimStats` digest, so this
+//! file is their only pin. It is compare-only: no environment variable
+//! rewrites it.
 
 use htnoc_core::campaign::trojan_flood_traced_threads;
 use htnoc_core::prelude::*;
-use noc_sim::TraceConfig;
+use noc_sim::{MetricsRegistry, TraceConfig};
 use noc_traffic::AppSpec;
 use noc_types::Direction;
 use std::fmt::Write as _;
@@ -76,9 +83,41 @@ fn assert_matches_sequential_golden(name: &str, threads: usize, got: &str) {
     );
 }
 
+/// One line of `counters.txt`: FNV-1a of the router and link counter
+/// tables at the end of the scenario.
+fn counters_line(scenario: &str, metrics: &MetricsRegistry, cycle: u64) -> String {
+    format!(
+        "{scenario}: routers_fnv64 {:016x} links_fnv64 {:016x}\n",
+        fnv64(metrics.routers_csv().as_bytes()),
+        fnv64(metrics.links_csv(cycle).as_bytes())
+    )
+}
+
+/// Compare one scenario's counter line against the committed
+/// `counters.txt`. Never rewrites the file.
+fn assert_counters(threads: usize, got: &str) {
+    let path = golden_path("counters.txt");
+    let want = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("golden file {}: {e}", path.display()));
+    let scenario = got
+        .split(':')
+        .next()
+        .expect("a counters line names its scenario");
+    let line = want
+        .lines()
+        .find(|l| l.split(':').next() == Some(scenario))
+        .unwrap_or_else(|| panic!("counters.txt has no line for {scenario}"));
+    assert_eq!(
+        format!("{line}\n"),
+        got,
+        "{scenario}: router/link counters diverged from the committed golden \
+         at {threads} thread(s)"
+    );
+}
+
 /// The baseline scenario: clean blackscholes traffic on the paper mesh,
 /// no trojans armed, fixed seed — a pure hot-loop workout.
-fn baseline_digest(threads: usize) -> String {
+fn baseline_digest(threads: usize) -> (String, String) {
     let mut sc = Scenario::paper_default(AppSpec::blackscholes(), Strategy::Unprotected)
         .with_threads(threads);
     sc.warmup = 200;
@@ -92,12 +131,13 @@ fn baseline_digest(threads: usize) -> String {
     writeln!(out, "drained: {}", result.drained).unwrap();
     writeln!(out, "stats_fnv64: {:016x}", fnv64(stats.as_bytes())).unwrap();
     writeln!(out, "stats: {stats}").unwrap();
-    out
+    let counters = counters_line("baseline", &result.metrics, result.cycles);
+    (out, counters)
 }
 
 /// The trojan-flood scenario with the structured tracer armed: the
 /// watchdog-guarded retransmission storm from the resilience campaign.
-fn trojan_flood_digest(threads: usize) -> String {
+fn trojan_flood_digest(threads: usize) -> (String, String) {
     let (report, sim) = trojan_flood_traced_threads(0x0D15_EA5E, TraceConfig::default(), threads);
     let stats = format!("{:?}", sim.stats());
     let tracer = sim.tracer().expect("tracing was armed");
@@ -123,7 +163,8 @@ fn trojan_flood_digest(threads: usize) -> String {
         .nth(400)
         .map_or(stats.len(), |(i, _)| i);
     writeln!(out, "stats_head: {}", &stats[..head_end]).unwrap();
-    out
+    let counters = counters_line("trojan_flood", sim.metrics(), sim.cycle());
+    (out, counters)
 }
 
 /// The three busiest feeder links of the blackscholes primary (corner
@@ -147,7 +188,7 @@ fn primary_feeder_links() -> Vec<LinkId> {
 /// Three TASP trojans on distinct links under the paper's S2S L-Ob
 /// mitigation: the detectors must classify and obfuscate around all of
 /// them at once, and the whole dance must be fingerprint-stable.
-fn multi_trojan_digest(threads: usize) -> String {
+fn multi_trojan_digest(threads: usize) -> (String, String) {
     let mut sc = Scenario::paper_default(AppSpec::blackscholes(), Strategy::S2sLob)
         .with_infected(primary_feeder_links())
         .with_threads(threads);
@@ -164,14 +205,15 @@ fn multi_trojan_digest(threads: usize) -> String {
     writeln!(out, "delivered: {}", result.stats.delivered_packets).unwrap();
     writeln!(out, "stats_fnv64: {:016x}", fnv64(stats.as_bytes())).unwrap();
     writeln!(out, "stats: {stats}").unwrap();
-    out
+    let counters = counters_line("multi_trojan", &result.metrics, result.cycles);
+    (out, counters)
 }
 
 /// Mid-run link quarantine with the automatic up*/down* reroute: arm a
 /// trojan on a hot link, let the storm build, then kill the link and make
 /// the survivors finish over the rebuilt routes. Pins both the purge's
 /// credit settlement and the rerouted drain.
-fn quarantine_reroute_digest(threads: usize) -> String {
+fn quarantine_reroute_digest(threads: usize) -> (String, String) {
     let infected = primary_feeder_links()[0];
     let mut sc = Scenario::paper_default(AppSpec::blackscholes(), Strategy::S2sLob)
         .with_infected(vec![infected]);
@@ -211,72 +253,69 @@ fn quarantine_reroute_digest(threads: usize) -> String {
     writeln!(out, "quarantined_links: {}", sim.stats().quarantined_links).unwrap();
     writeln!(out, "stats_fnv64: {:016x}", fnv64(stats.as_bytes())).unwrap();
     writeln!(out, "stats: {stats}").unwrap();
-    out
+    let counters = counters_line("quarantine_reroute", sim.metrics(), sim.cycle());
+    (out, counters)
 }
 
 /// Thread counts the sharded engine must reproduce bit-for-bit.
 const THREAD_SWEEP: [usize; 3] = [2, 4, 8];
 
+/// Two sequential runs agree, match the committed digest, and end with
+/// the committed counters.
+fn check_sequential(golden: &str, digest: fn(usize) -> (String, String)) {
+    let first = digest(1);
+    let second = digest(1);
+    assert_eq!(first, second, "two in-process runs must be byte-identical");
+    compare_or_update(golden, &first.0);
+    assert_counters(1, &first.1);
+}
+
+/// Every thread count reproduces the committed sequential digest and
+/// counters.
+fn check_parallel(golden: &str, digest: fn(usize) -> (String, String)) {
+    for t in THREAD_SWEEP {
+        let (got, counters) = digest(t);
+        assert_matches_sequential_golden(golden, t, &got);
+        assert_counters(t, &counters);
+    }
+}
+
 #[test]
 fn baseline_fixed_seed_is_golden() {
-    let first = baseline_digest(1);
-    let second = baseline_digest(1);
-    assert_eq!(first, second, "two in-process runs must be byte-identical");
-    compare_or_update("baseline_stats.txt", &first);
+    check_sequential("baseline_stats.txt", baseline_digest);
 }
 
 #[test]
 fn baseline_parallel_matches_sequential_golden() {
-    for t in THREAD_SWEEP {
-        assert_matches_sequential_golden("baseline_stats.txt", t, &baseline_digest(t));
-    }
+    check_parallel("baseline_stats.txt", baseline_digest);
 }
 
 #[test]
 fn trojan_flood_fixed_seed_is_golden() {
-    let first = trojan_flood_digest(1);
-    let second = trojan_flood_digest(1);
-    assert_eq!(first, second, "two in-process runs must be byte-identical");
-    compare_or_update("trojan_flood.txt", &first);
+    check_sequential("trojan_flood.txt", trojan_flood_digest);
 }
 
 #[test]
 fn trojan_flood_parallel_matches_sequential_golden() {
-    for t in THREAD_SWEEP {
-        assert_matches_sequential_golden("trojan_flood.txt", t, &trojan_flood_digest(t));
-    }
+    check_parallel("trojan_flood.txt", trojan_flood_digest);
 }
 
 #[test]
 fn multi_trojan_fixed_seed_is_golden() {
-    let first = multi_trojan_digest(1);
-    let second = multi_trojan_digest(1);
-    assert_eq!(first, second, "two in-process runs must be byte-identical");
-    compare_or_update("multi_trojan.txt", &first);
+    check_sequential("multi_trojan.txt", multi_trojan_digest);
 }
 
 #[test]
 fn multi_trojan_parallel_matches_sequential_golden() {
-    for t in THREAD_SWEEP {
-        assert_matches_sequential_golden("multi_trojan.txt", t, &multi_trojan_digest(t));
-    }
+    check_parallel("multi_trojan.txt", multi_trojan_digest);
 }
 
 #[test]
 fn quarantine_reroute_fixed_seed_is_golden() {
-    let first = quarantine_reroute_digest(1);
-    let second = quarantine_reroute_digest(1);
-    assert_eq!(first, second, "two in-process runs must be byte-identical");
-    compare_or_update("quarantine_reroute.txt", &first);
+    check_sequential("quarantine_reroute.txt", quarantine_reroute_digest);
 }
 
 #[test]
 fn quarantine_reroute_parallel_matches_sequential_golden() {
-    for t in THREAD_SWEEP {
-        assert_matches_sequential_golden(
-            "quarantine_reroute.txt",
-            t,
-            &quarantine_reroute_digest(t),
-        );
-    }
+    check_parallel("quarantine_reroute.txt", quarantine_reroute_digest);
 }
