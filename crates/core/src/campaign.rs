@@ -140,10 +140,8 @@ fn handle_stall(sim: &mut Simulator, report: &StallReport, policy: StallPolicy) 
                 .mesh()
                 .link_out(router, dir)
                 .expect("a blamed output port always has a link");
-            if !sim.dead_links().contains(&link) {
-                sim.quarantine_link(link)
-                    .unwrap_or_else(|e| panic!("quarantine of {link:?} failed: {e}"));
-            }
+            sim.quarantine_link(link)
+                .unwrap_or_else(|e| panic!("quarantine of {link:?} failed: {e}"));
         }
     }
 }

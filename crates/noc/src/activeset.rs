@@ -1,10 +1,10 @@
 //! Hierarchical active-set bitmaps for the sharded cycle engine.
 //!
 //! An [`ActiveSet`] is a two-level bitmap over a dense id space (routers,
-//! or link *positions* in a shard-ordered permutation): a `words` level
-//! with one bit per id, and a `summary` level with one bit per word. The
-//! phase loops iterate only the set bits of their own shard's range
-//! instead of linearly scanning every id, and the whole-network
+//! cores, or link *positions* in a shard-ordered permutation): a `words`
+//! level with one bit per id, and a `summary` level with one bit per
+//! word. The phase loops iterate only the set bits of their own shard's
+//! range instead of linearly scanning every id, and the whole-network
 //! quiescence gate in [`crate::Simulator::skip_idle_cycles`] is a scan of
 //! the (tiny) summary level.
 //!
@@ -108,8 +108,8 @@ impl ActiveSet {
         self.words[i / WORD_BITS].fetch_and(!(1u64 << (i % WORD_BITS)), Ordering::Relaxed);
     }
 
-    /// Whether id `i` is marked active.
-    #[cfg(test)]
+    /// Whether id `i` is marked active (debug audits and tests).
+    #[cfg(any(test, debug_assertions))]
     pub(crate) fn get(&self, i: usize) -> bool {
         debug_assert!(i < self.len);
         self.words[i / WORD_BITS].load(Ordering::Relaxed) & (1u64 << (i % WORD_BITS)) != 0

@@ -141,7 +141,7 @@ pub struct InputUnit {
 }
 
 /// How many partner words to remember for descrambling.
-const SEEN_WORDS_CAP: usize = 64;
+pub(crate) const SEEN_WORDS_CAP: usize = 64;
 
 impl InputUnit {
     /// Construct an input unit with `vcs` virtual channels.
@@ -201,6 +201,15 @@ impl InputUnit {
             self.seen_words[self.seen_head] = (id, word);
             self.seen_head = (self.seen_head + 1) % SEEN_WORDS_CAP;
         }
+    }
+
+    /// Whether the descramble ring is in a state [`InputUnit::remember_word`]
+    /// can produce: at most `SEEN_WORDS_CAP` words, and a nonzero head
+    /// only once the ring is full, pointing inside it.
+    pub(crate) fn seen_ring_is_reachable(&self) -> bool {
+        let len = self.seen_words.len();
+        len <= SEEN_WORDS_CAP
+            && (self.seen_head == 0 || (len == SEEN_WORDS_CAP && self.seen_head < SEEN_WORDS_CAP))
     }
 
     /// Whether a word for `id` is remembered.

@@ -135,6 +135,12 @@ pub struct Simulator {
     pub(crate) inj_queues: Vec<VecDeque<Flit>>,
     /// Round-robin pointer per core over its VC queues.
     pub(crate) inj_rr: Vec<u8>,
+    /// Cores whose injection queues may hold flits, indexed by core: the
+    /// injection phase walks only its set bits. Set when phase 8 queues
+    /// a core's flits, cleared only after phase 8 has probed every one of
+    /// that core's VC queues and found them empty. Derived state — never
+    /// serialized; rebuilt all-set on construct/restore.
+    pub(crate) inj_set: ActiveSet,
     pub(crate) cycle: u64,
     pub(crate) next_flit_id: u64,
     /// Injection cycle per in-flight packet (latency accounting).
@@ -285,6 +291,7 @@ impl Simulator {
             dead_links: Vec::new(),
             inj_queues: (0..cores * vcs).map(|_| VecDeque::new()).collect(),
             inj_rr: vec![0; cores],
+            inj_set: ActiveSet::new_all_set(cores),
             cycle: 0,
             next_flit_id: 0,
             birth: std::collections::HashMap::new(),
@@ -397,13 +404,16 @@ impl Simulator {
     }
 
     /// Declare links dead: nothing launches on them any more. Combine with
-    /// [`Simulator::set_routing`] so traffic avoids them.
+    /// [`Simulator::set_routing`] so traffic avoids them. A repeated id
+    /// is kept once, at its first position.
     pub fn set_dead_links(&mut self, dead: Vec<LinkId>) {
         self.link_dead.fill(false);
-        for l in &dead {
-            self.link_dead[l.index()] = true;
+        self.dead_links.clear();
+        for l in dead {
+            if !std::mem::replace(&mut self.link_dead[l.index()], true) {
+                self.dead_links.push(l);
+            }
         }
-        self.dead_links = dead;
     }
 
     /// Links currently declared dead (killed or quarantined).
@@ -855,9 +865,11 @@ impl Simulator {
         self.inj_queues[core * self.cfg.vcs as usize + vc as usize].len()
     }
 
-    /// True when no flit remains anywhere.
+    /// True when no flit remains anywhere. Stops at the first router
+    /// holding a flit or the first non-empty injection queue.
     pub fn is_quiescent(&self) -> bool {
-        self.resident_flits() == 0 && self.queued_flits() == 0
+        self.routers.iter().all(|r| r.resident_flits() == 0)
+            && self.inj_queues.iter().all(VecDeque::is_empty)
     }
 
     // ------------------------------------------------------------------
@@ -915,9 +927,6 @@ impl Simulator {
         if !self.pending_quarantine.is_empty() {
             let pending = std::mem::take(&mut self.pending_quarantine);
             for link in pending {
-                if self.dead_links.contains(&link) {
-                    continue;
-                }
                 if let Err(err) = self.quarantine_link(link) {
                     self.poisoned.get_or_insert(err);
                 }
@@ -1431,27 +1440,40 @@ impl Simulator {
                 }
             }
             self.inj_queues[core * vcs + pkt.vc.index()].extend(flits.iter().copied());
+            self.inj_set.set(core);
         }
         self.flit_scratch = flits;
         self.poll_buf = packets;
         // One flit per injection port per cycle; round-robin over the
-        // port's VC-class queues so no class starves another.
-        for core in 0..self.inj_rr.len() {
+        // port's VC-class queues so no class starves another. Only cores
+        // in the backlog set can have a flit to offer.
+        let Self {
+            cfg,
+            routers,
+            inj_queues,
+            inj_rr,
+            inj_set,
+            router_active,
+            router_set,
+            metrics,
+            last_progress_cycle,
+            ..
+        } = self;
+        inj_set.for_each_set_in(0..inj_rr.len(), |core| {
             let router = core / conc as usize;
             let port = Port::Local((core % conc as usize) as u8);
-            let start = self.inj_rr[core] as usize;
+            let start = inj_rr[core] as usize;
             let mut admitted = false;
             let mut waiting = false;
-            for off in 0..vcs {
-                let v = (start + off) % vcs;
+            for v in (start..vcs).chain(0..start) {
                 let q = core * vcs + v;
-                let Some(f) = self.inj_queues[q].front().copied() else {
+                let Some(f) = inj_queues[q].front().copied() else {
                     continue;
                 };
                 waiting = true;
                 let vc = f.header.vc;
                 debug_assert_eq!(vc.index(), v);
-                let unit = &self.routers[router].inputs[port.index()];
+                let unit = &routers[router].inputs[port.index()];
                 let ivc = &unit.vcs[vc.index()];
                 let admit_head = f.kind.carries_header()
                     && ivc.state == crate::input::VcState::Idle
@@ -1462,27 +1484,36 @@ impl Simulator {
                         .back()
                         .map(|b| b.packet == f.packet)
                         .unwrap_or(ivc.state != crate::input::VcState::Idle);
-                let has_room = unit.free_slots(vc, self.cfg.vc_depth as usize) > 0;
+                let has_room = unit.free_slots(vc, cfg.vc_depth as usize) > 0;
                 if has_room && (admit_head || admit_body) {
-                    self.inj_queues[q].pop_front();
-                    self.routers[router].buffer_write(port, vc, f, now);
-                    self.router_active[router] = true;
-                    self.router_set.set(router);
-                    self.inj_rr[core] = ((v + 1) % vcs) as u8;
-                    self.last_progress_cycle = now;
+                    inj_queues[q].pop_front();
+                    routers[router].buffer_write(port, vc, f, now);
+                    router_active[router] = true;
+                    router_set.set(router);
+                    inj_rr[core] = if v + 1 == vcs { 0 } else { v as u8 + 1 };
+                    *last_progress_cycle = now;
                     admitted = true;
                     break;
                 }
             }
-            // A core with a flit waiting and no VC able to admit it spent
-            // this cycle stalled at the injection port.
-            if waiting && !admitted {
-                self.metrics
+            if !waiting {
+                // Every VC queue of this core was probed and found empty.
+                inj_set.clear(core);
+            } else if !admitted {
+                // A core with a flit waiting and no VC able to admit it
+                // spent this cycle stalled at the injection port.
+                metrics
                     .router_mut(NodeId(router as u16))
                     .injection_stalls
                     .inc();
             }
-        }
+        });
+        #[cfg(any(test, debug_assertions))]
+        debug_assert!(
+            (0..self.inj_rr.len())
+                .all(|core| self.inj_set.get(core) || self.core_queue_len(core) == 0),
+            "injection backlog set lost a core with queued flits"
+        );
     }
 
     // ------------------------------------------------------------------
@@ -1571,9 +1602,15 @@ impl Simulator {
     /// set. Campaign drivers call this directly with the culprit from a
     /// [`StallReport`]; the retry-budget escalation calls it automatically.
     ///
+    /// Quarantining a link that is already dead is a no-op returning
+    /// `Ok(())`: nothing is purged, recorded or rerouted.
+    ///
     /// Errors with [`SimError::MeshDisconnected`] when no route table can
     /// connect all routers any more — the mesh cannot degrade further.
     pub fn quarantine_link(&mut self, link: LinkId) -> Result<(), SimError> {
+        if self.link_dead[link.index()] {
+            return Ok(());
+        }
         let now = self.cycle;
         let (src, dir) = self.mesh.link_source(link);
         let dst = self.mesh.link_dest(link);
@@ -1840,7 +1877,7 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noc_types::{Direction, PacketId, VcId};
+    use noc_types::{Direction, Mesh, PacketId, VcId};
 
     /// Inject a fixed list of packets at their `created_at` cycles.
     pub struct ListSource {
@@ -2217,6 +2254,125 @@ mod tests {
         );
         assert!(s.packets_conserved());
         assert!(sim.check_invariants().is_empty());
+    }
+
+    /// Stateless flood: until `until`, every router sends one four-flit
+    /// packet per cycle, rotating over its cores and VCs, so injection
+    /// queues back up. A restored simulator needs no source cursor.
+    struct Flood {
+        until: u64,
+    }
+
+    impl TrafficSource for Flood {
+        fn poll(&mut self, cycle: u64, out: &mut Vec<Packet>) {
+            if cycle >= self.until {
+                return;
+            }
+            for src in 0..16u16 {
+                let id = cycle * 16 + src as u64 + 1;
+                let dest = (src + 1 + (id % 15) as u16) % 16;
+                let mut p = pkt(id, cycle, src, dest, 4);
+                p.vc = VcId((cycle / 4 % 4) as u8);
+                p.thread = (cycle % 4) as u8;
+                out.push(p);
+            }
+        }
+    }
+
+    /// Step `sim` to cycle `until`. A `quarantine` of `(cycle, link)`
+    /// kills `link` on reaching `cycle`, and that purge must reach
+    /// queued flits.
+    fn drive(sim: &mut Simulator, src: &mut Flood, until: u64, quarantine: Option<(u64, LinkId)>) {
+        while sim.cycle() < until {
+            if let Some((_, link)) = quarantine.filter(|q| q.0 == sim.cycle()) {
+                let queued = sim.queued_flits();
+                sim.quarantine_link(link)
+                    .expect("one dead link keeps the paper mesh connected");
+                assert!(
+                    sim.queued_flits() < queued,
+                    "the purge must reach queued flits"
+                );
+            }
+            sim.step(src);
+        }
+    }
+
+    /// Snapshot while cores hold queued flits (after the flood stopped, so
+    /// no new packet re-marks them), run on until those cores drain and
+    /// leave the backlog set, restore into the same simulator and finish:
+    /// the result must equal an uninterrupted run. A fresh simulator
+    /// starts all-set, so only this path catches a restore that keeps
+    /// the drained bits.
+    fn restore_resets_the_backlog_set(quarantine: Option<(u64, LinkId)>) {
+        const SNAP_AT: u64 = 50;
+        const END: u64 = 3_000;
+        let mut src = Flood { until: 40 };
+        let mut straight = Simulator::new(SimConfig::paper());
+        drive(&mut straight, &mut src, END, quarantine);
+        assert!(straight.is_quiescent(), "the flood must drain by {END}");
+
+        let mut sim = Simulator::new(SimConfig::paper());
+        drive(&mut sim, &mut src, SNAP_AT, quarantine);
+        let backlogged: Vec<usize> = (0..sim.inj_rr.len())
+            .filter(|&core| sim.core_queue_len(core) > 0)
+            .collect();
+        assert!(
+            !backlogged.is_empty(),
+            "the snapshot must hold queued flits"
+        );
+        let snap = sim.snapshot();
+        while backlogged.iter().any(|&core| sim.inj_set.get(core)) {
+            assert!(sim.cycle() < END, "backlogged cores never left the set");
+            let next = sim.cycle() + 1;
+            drive(&mut sim, &mut src, next, quarantine);
+        }
+        sim.restore(&snap)
+            .expect("a simulator restores its own snapshot");
+        drive(&mut sim, &mut src, END, quarantine);
+        assert_eq!(sim.stats(), straight.stats());
+        assert_eq!(sim.snapshot().to_bytes(), straight.snapshot().to_bytes());
+    }
+
+    #[test]
+    fn restore_resets_the_injection_backlog_set() {
+        restore_resets_the_backlog_set(None);
+    }
+
+    #[test]
+    fn restore_resets_the_backlog_set_across_a_purging_quarantine() {
+        restore_resets_the_backlog_set(Some((66, LinkId(3))));
+    }
+
+    #[test]
+    fn a_link_is_dead_at_most_once() {
+        let cfg = SimConfig::paper();
+        let round_trips = |sim: &mut Simulator| {
+            let snap = sim.snapshot();
+            Simulator::new(cfg.clone())
+                .restore(&snap)
+                .expect("a dead-link set restores");
+        };
+        let link = Mesh::paper()
+            .link_out(NodeId(0), Direction::East)
+            .expect("router 0 has an east link");
+        let mut sim = Simulator::new(cfg.clone());
+        drive(&mut sim, &mut Flood { until: 60 }, 50, None);
+        sim.quarantine_link(link).expect("first quarantine");
+        let (events, stats, epoch) = (sim.events().len(), sim.stats().clone(), sim.routing_epoch);
+        sim.quarantine_link(link).expect("second quarantine");
+        assert_eq!(sim.dead_links(), &[link]);
+        assert_eq!(sim.events().len(), events, "no second event");
+        assert_eq!(sim.stats(), &stats, "no second purge or count");
+        assert_eq!(sim.routing_epoch, epoch, "no second reroute");
+        round_trips(&mut sim);
+
+        let other = Mesh::paper()
+            .link_out(NodeId(5), Direction::North)
+            .expect("router 5 has a north link");
+        let mut sim = Simulator::new(cfg.clone());
+        sim.set_dead_links(vec![other, link, other, other, link]);
+        assert_eq!(sim.dead_links(), &[other, link]);
+        round_trips(&mut sim);
     }
 
     #[test]

@@ -1020,8 +1020,12 @@ impl Persist for InputUnit {
             self.detector.import_state(detector);
         }
         persist!(c; self.delayed, self.pending_scrambles, self.seen_words, self.seen_head)?;
-        if C::READING && self.seen_head > self.seen_words.len() {
-            return Err(corrupt("seen_head beyond ring"));
+        if C::READING && !self.seen_ring_is_reachable() {
+            return Err(corrupt(format!(
+                "descramble ring of {} words with head {}",
+                self.seen_words.len(),
+                self.seen_head
+            )));
         }
         persist!(c; self.next_order, self.reported_class, self.occupancy_high_water)
     }
@@ -1285,6 +1289,9 @@ impl Persist for Simulator {
         fixed(c, "link_dead", &mut self.link_dead)?;
         self.sabotage_eject_seen.persist(c)?;
         fixed(c, "inj_rr", &mut self.inj_rr)?;
+        if C::READING && self.inj_rr.iter().any(|&v| v >= self.cfg.vcs) {
+            return Err(corrupt("inj_rr pointer beyond the VC count"));
+        }
         fixed(c, "inj_queues", &mut self.inj_queues)?;
         self.dead_links.persist(c)?;
         if C::READING {
@@ -1376,6 +1383,7 @@ impl Simulator {
             r.rebuild_lanes(cycle);
         }
         self.routing_epoch = self.routing_epoch.wrapping_add(1);
+        self.inj_set.set_all();
         let threads = self.plans.len().max(1);
         self.set_threads(threads);
         Ok(())
@@ -2022,9 +2030,29 @@ mod tests {
             let vc = s.routers[1].inputs[0].vcs[0].clone();
             s.routers[1].inputs[0].vcs.push(vc);
         });
-        rejects("seen_head beyond ring", |s| {
-            s.routers[0].inputs[0].seen_head = 1
-        });
+        rejects("inj_rr pointer", |s| s.inj_rr[1] = s.cfg.vcs);
+        // The descramble ring: `remember_word` never outgrows the cap and
+        // moves the head only once the ring is full.
+        let ring = |len: usize, head: usize| {
+            move |s: &mut Simulator| {
+                let unit = &mut s.routers[0].inputs[0];
+                unit.seen_words = (0..len as u64).map(|i| (FlitId(i), i)).collect();
+                unit.seen_head = head;
+            }
+        };
+        let cap = crate::input::SEEN_WORDS_CAP;
+        for (len, head) in [(0, 1), (10, 5), (cap - 1, 1), (cap, cap), (cap + 1, 0)] {
+            rejects(
+                &format!("descramble ring of {len} words with head {head}"),
+                ring(len, head),
+            );
+        }
+        let cfg = small(noc_types::Mesh::new(2, 2, 1));
+        let mut donor = Simulator::new(cfg.clone());
+        ring(cap, cap - 1)(&mut donor);
+        Simulator::new(cfg)
+            .restore(&donor.snapshot())
+            .expect("a full ring with its head inside is reachable");
         rejects("vc_owner", |s| {
             s.routers[0].outputs[0]
                 .as_mut()
