@@ -14,6 +14,9 @@
 //! A stale set bit therefore costs one wasted check; a stale *clear* bit
 //! would lose work, so the update protocol only ever clears a bit at the
 //! single site that just observed the authoritative predicate false.
+//! The router set's predicate is "may be able to act": a router whose
+//! work no stage can move is moved to the simulator's `parked` set, and
+//! every event that could let it move sets its router bit again.
 //!
 //! Concurrency: `set`/`clear`/`get` use relaxed atomics. The engine's
 //! barrier groups provide the happens-before edges (a bit set in group
@@ -53,7 +56,14 @@ impl ActiveSet {
     /// A set over ids `0..len` with every bit set (everything may have
     /// work until proven otherwise — the safe initial state).
     pub(crate) fn new_all_set(len: usize) -> Self {
-        let mut s = Self {
+        let mut s = Self::new_all_clear(len);
+        s.set_all();
+        s
+    }
+
+    /// A set over ids `0..len` with no bit set.
+    pub(crate) fn new_all_clear(len: usize) -> Self {
+        Self {
             words: (0..len.div_ceil(WORD_BITS))
                 .map(|_| AtomicU64::new(0))
                 .collect(),
@@ -61,9 +71,7 @@ impl ActiveSet {
                 .map(|_| AtomicU64::new(0))
                 .collect(),
             len,
-        };
-        s.set_all();
-        s
+        }
     }
 
     /// Mark every id active (new/restore/re-shard: conservative reset).
@@ -108,11 +116,21 @@ impl ActiveSet {
         self.words[i / WORD_BITS].fetch_and(!(1u64 << (i % WORD_BITS)), Ordering::Relaxed);
     }
 
-    /// Whether id `i` is marked active (debug audits and tests).
-    #[cfg(any(test, debug_assertions))]
+    /// Whether id `i` is marked active. The owning shard may read its
+    /// own ids at any time; the parking protocol reads `parked` bits on
+    /// the hot path, the audits and tests read every set.
+    #[inline]
     pub(crate) fn get(&self, i: usize) -> bool {
         debug_assert!(i < self.len);
         self.words[i / WORD_BITS].load(Ordering::Relaxed) & (1u64 << (i % WORD_BITS)) != 0
+    }
+
+    /// Mark every id inactive (restore/re-shard of a set whose bits
+    /// are not superset hints, such as `parked`).
+    pub(crate) fn clear_all(&mut self) {
+        for w in self.words.iter_mut().chain(self.summary.iter_mut()) {
+            *w.get_mut() = 0;
+        }
     }
 
     /// Serial maintenance between cycles: drop summary bits whose word

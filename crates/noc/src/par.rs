@@ -344,9 +344,12 @@ pub(crate) struct PhaseCtx<'a> {
     pub router_active: DisjointMut<'a, bool>,
     /// Hierarchical active sets (superset hints — every consumer
     /// re-checks the authoritative predicate; see [`crate::activeset`]).
-    /// `router_set` mirrors `router_active`; the link sets are indexed
-    /// by partition *position* via the maps below.
+    /// `router_set` holds the routers that may be able to act; the link
+    /// sets are indexed by partition *position* via the maps below.
     pub router_set: &'a ActiveSet,
+    /// Routers holding work that no stage can move (see
+    /// [`Router::is_blocked`]): out of `router_set` until a wake.
+    pub parked: &'a ActiveSet,
     pub fwd_set: &'a ActiveSet,
     pub rev_set: &'a ActiveSet,
     pub launch_set: &'a ActiveSet,
@@ -393,16 +396,7 @@ pub(crate) fn run_group(
     }
     match g {
         Group::G1 => {
-            // Refresh the active set for the owned band: a router with no
-            // buffered, held, or crossbar-pending flit skips phases
-            // 2/5/6/7. Arrivals below flip bits back on eagerly; they can
-            // only target routers in this same band (links_dst ⊆ band).
-            // Only bitmap-raised routers can have gained work since they
-            // last went idle (every activation site sets the bit), so the
-            // scan walks set bits instead of the whole band; a clear bit
-            // implies the bool is already false, so skipping the write
-            // leaves `router_active` exactly as the linear scan would.
-            refresh_active(ctx, plan);
+            refresh_active(ctx, plan, now);
             phase_link_delivery(ctx, plan, fx, now);
             phase_resolve_holds(ctx, plan, fx, now);
         }
@@ -428,7 +422,7 @@ fn run_group_timed(ctx: &PhaseCtx<'_>, plan: &ShardPlan, fx: &mut ShardFx, g: Gr
     let g0 = Instant::now();
     let gi = match g {
         Group::G1 => {
-            refresh_active(ctx, plan);
+            refresh_active(ctx, plan, now);
             phase_link_delivery(ctx, plan, fx, now);
             let t1 = Instant::now();
             fx.tel_phase_ns[0] += t1.duration_since(g0).as_nanos() as u64;
@@ -463,13 +457,35 @@ fn run_group_timed(ctx: &PhaseCtx<'_>, plan: &ShardPlan, fx: &mut ShardFx, g: Gr
     }
 }
 
-/// The G1 active-set refresh for one shard's band (see [`run_group`]).
-fn refresh_active(ctx: &PhaseCtx<'_>, plan: &ShardPlan) {
+/// The G1 active-set refresh for one shard's band: a router with no
+/// buffered, held, or crossbar-pending flit skips phases 2/5/6/7, and so
+/// does a blocked one, which moves to `parked`. Arrivals below flip bits
+/// back on eagerly; they can only target routers in this same band
+/// (links_dst ⊆ band). Only bitmap-raised routers can have gained work or
+/// become movable since they were last visited (every activation and
+/// wake site sets the bit), so the scan walks set bits instead of the
+/// whole band. A clear bit means the router is idle, and its bool is
+/// already false, or parked, and its bool is already true, so skipping
+/// the write leaves `router_active` exactly as the linear scan would.
+///
+/// A router whose input VCs changed state last cycle is kept scheduled
+/// without testing the predicate: it was moving, and parking it one
+/// visit later is always safe.
+fn refresh_active(ctx: &PhaseCtx<'_>, plan: &ShardPlan, now: u64) {
     ctx.router_set.for_each_set_in(plan.routers.clone(), |r| {
-        let w = ctx.routers.idx(r).has_phase_work();
+        let router = ctx.routers.idx(r);
+        let w = router.has_phase_work();
         *ctx.router_active.idx(r) = w;
+        if w && !router.changed_in(now.wrapping_sub(1)) && router.is_blocked(ctx.cfg, ctx.routing) {
+            ctx.router_set.clear(r);
+            ctx.parked.set(r);
+            return;
+        }
         if !w {
             ctx.router_set.clear(r);
+        }
+        if ctx.parked.get(r) {
+            ctx.parked.clear(r);
         }
     });
 }
@@ -522,7 +538,6 @@ fn handle_arrival(
     // Whatever happens below (buffer write, delayed hold, pending
     // scramble), the destination router now has phase work.
     *ctx.router_active.idx(dst.index()) = true;
-    ctx.router_set.set(dst.index());
     let li = link.index();
     match decode {
         Decode::Corrected { .. } => {
@@ -571,6 +586,11 @@ fn handle_arrival(
     // cleanly (the upstream will replay in order).
     if accepted && !wire_in_order(unit, &lf) {
         accepted = false;
+    }
+    // An accepted flit wakes a parked router. A NACK changes only the
+    // detector and the reverse wire, which no router stage reads.
+    if accepted || !ctx.parked.get(dst.index()) {
+        ctx.router_set.set(dst.index());
     }
 
     if accepted {
@@ -847,6 +867,20 @@ fn phase_acks_and_credits(ctx: &PhaseCtx<'_>, plan: &ShardPlan, fx: &mut ShardFx
         // bit. P6 pushes later this cycle re-raise it.
         if ctx.links.reverse_idle(li) {
             ctx.rev_set.clear(pos);
+        }
+        // An ACK or a credit can free a retransmission slot, an output
+        // VC or a downstream buffer slot, so it wakes a parked source
+        // router in time for this cycle's G3. A NACK only re-queues an
+        // entry for launch, which no router stage reads.
+        if ctx.parked.get(src.index())
+            && (acks.iter().any(|a| matches!(a.kind, AckKind::Ack { .. }))
+                || if batch {
+                    counts.iter().any(|&c| c != 0)
+                } else {
+                    !credit_vcs.is_empty()
+                })
+        {
+            ctx.router_set.set(src.index());
         }
         // A link with no output unit cannot have carried traffic;
         // stray reverse-channel messages are dropped, not panicked on.

@@ -210,6 +210,12 @@ pub struct Router {
     pub(crate) rc_cache: Vec<u8>,
     /// Routing epoch `rc_cache` was filled under.
     pub(crate) rc_cache_epoch: u32,
+    /// SA sets bit `port.index()` of every input port that wins a
+    /// grant; the injection phase clears a local port's bit whenever it
+    /// probes that port's core, and reads no other bit. A grant on a
+    /// local port is what can let a blocked core admit again. Derived,
+    /// never serialized; a stale set bit only costs one probe.
+    pub(crate) local_grants: u64,
 }
 
 impl Router {
@@ -248,6 +254,7 @@ impl Router {
             // state never touches the allocator.
             rc_cache: vec![0u8; mesh.routers()],
             rc_cache_epoch: 0,
+            local_grants: 0,
         }
     }
 
@@ -667,6 +674,7 @@ impl Router {
             if let Some(winner) = self.sa_arb[q].grant_masked(req[q]) {
                 let (p, v) = (winner / vcs, winner % vcs);
                 let bit = 1u64 << winner;
+                self.local_grants |= 1u64 << p;
                 // One grant per input port: retire its other requesters.
                 let pmask = ((1u64 << vcs) - 1) << (p * vcs);
                 for m in req.iter_mut() {
@@ -827,6 +835,100 @@ impl Router {
                 .inputs
                 .iter()
                 .any(|u| !u.delayed.is_empty() || !u.pending_scrambles.is_empty())
+    }
+
+    /// Whether any input VC changed pipeline state in `cycle` (a buffer
+    /// write of a head, RC, VA, or a tail leaving at SA).
+    pub(crate) fn changed_in(&self, cycle: u64) -> bool {
+        self.lanes.fresh_at(cycle) != 0
+    }
+
+    /// Whether this router has phase work that no stage can move until
+    /// something outside the router changes: an accepted arrival, an ACK
+    /// or credit on one of its outputs, an injection admit, a purge or a
+    /// routing change. The simulator parks such a router instead of
+    /// walking it through the per-router phases every cycle.
+    ///
+    /// Every TDM slot counts as open and every same-cycle stamp as
+    /// expired, so the answer does not depend on the cycle: a blocked
+    /// router stays blocked until one of those events.
+    pub(crate) fn is_blocked(&self, cfg: &SimConfig, routing: &Routing) -> bool {
+        let l = &self.lanes;
+        let sa = l.active & l.head;
+        // No head to move, a crossbar move or a route to compute, or a
+        // requester bound for a local port (ejection never waits on
+        // anything outside the router).
+        if l.head == 0
+            || !self.st_pending.is_empty()
+            || l.routing != 0
+            || (l.vcalloc | sa) & l.route_local != 0
+        {
+            return false;
+        }
+        let vcs = cfg.vcs as usize;
+        for (d, slot) in self.outputs.iter().enumerate() {
+            let Some(out) = slot.as_ref() else {
+                continue;
+            };
+            let mut va = l.vcalloc & l.route_dir[d];
+            while va != 0 {
+                let i = va.trailing_zeros() as usize;
+                va &= va - 1;
+                let h = self.inputs[i / vcs].vcs[i % vcs]
+                    .fifo
+                    .front()
+                    .expect("head")
+                    .header;
+                let class = routing.vc_class(self.node, h.dest);
+                if candidate_out_vc(out, &h, cfg, class).is_some() {
+                    return false;
+                }
+            }
+            let mut sa = sa & l.route_dir[d];
+            if sa == 0
+                || out.occupancy() + self.pending_to_output[d] as usize >= out.total_capacity()
+            {
+                continue;
+            }
+            while sa != 0 {
+                let i = sa.trailing_zeros() as usize;
+                sa &= sa - 1;
+                let w = self.inputs[i / vcs].vcs[i % vcs]
+                    .out_vc
+                    .expect("network route holds an out VC");
+                if out.has_slot(w) && out.credits[w.index()] > 0 {
+                    return false;
+                }
+            }
+        }
+        // Last, as the rarest case: a hold still to resolve.
+        self.inputs
+            .iter()
+            .all(|u| u.delayed.is_empty() && u.pending_scrambles.is_empty())
+    }
+
+    /// Whether any stage would act on this router at `cycle`, judged by
+    /// the pre-lanes reference oracles rather than by the lanes: the
+    /// audit that vouches for [`Router::is_blocked`] on every parked
+    /// router.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn would_act(&self, cycle: u64, cfg: &SimConfig, routing: &Routing) -> bool {
+        let vcs = cfg.vcs as usize;
+        let elig = self.reference_va_eligible(cycle);
+        let local_va = self.inputs.iter().enumerate().any(|(p, unit)| {
+            unit.vcs.iter().enumerate().any(|(v, ivc)| {
+                elig & (1u64 << (p * vcs + v)) != 0 && matches!(ivc.route, Some(Port::Local(_)))
+            })
+        });
+        !self.st_pending.is_empty()
+            || self
+                .inputs
+                .iter()
+                .any(|u| !u.delayed.is_empty() || !u.pending_scrambles.is_empty())
+            || self.reference_rc_mask(cycle) != 0
+            || local_va
+            || self.reference_va_req(cycle, cfg, routing, elig) != [0; 4]
+            || self.reference_sa_req(cycle, cfg) != [0; 64]
     }
 
     /// Total network-input buffer occupancy (Fig. 11 input utilisation).
@@ -1200,6 +1302,132 @@ mod tests {
             r.st_pending.is_empty(),
             "SA must not overcommit a full retransmission buffer"
         );
+    }
+
+    /// Node 5 holding one single-flit packet from local port 0, routed
+    /// east and granted output VC `w` at cycle 2: an SA requester.
+    fn sa_requester(c: &SimConfig) -> (Router, VcId) {
+        let mut r = Router::new(NodeId(5), &c.mesh.clone(), c);
+        r.buffer_write(Port::Local(0), VcId(0), head(6), 0);
+        r.rc_stage(1, &c.mesh, &Routing::Xy, 0);
+        r.va_stage(2, c, &Routing::Xy);
+        let w = r.inputs[4].vcs[0].out_vc.expect("granted");
+        (r, w)
+    }
+
+    fn east(r: &mut Router) -> &mut OutputUnit {
+        r.outputs[Direction::East.index()]
+            .as_mut()
+            .expect("east output")
+    }
+
+    /// A single-flit packet `id` bound for node 6.
+    fn single(id: u64) -> Flit {
+        Flit {
+            id: FlitId(id),
+            packet: PacketId(id),
+            ..head(6)
+        }
+    }
+
+    #[test]
+    fn zero_credits_block_until_one_credit_returns() {
+        let c = cfg();
+        let (mut r, w) = sa_requester(&c);
+        assert!(!r.is_blocked(&c, &Routing::Xy));
+        east(&mut r).credits[w.index()] = 0;
+        assert!(r.is_blocked(&c, &Routing::Xy));
+        assert!(!r.would_act(3, &c, &Routing::Xy));
+        r.sa_stage(3, &c);
+        assert!(r.st_pending.is_empty(), "no credit, no grant");
+        east(&mut r).credits[w.index()] = 1;
+        assert!(!r.is_blocked(&c, &Routing::Xy));
+        r.sa_stage(4, &c);
+        assert_eq!(r.st_pending.len(), 1);
+    }
+
+    #[test]
+    fn a_full_retransmission_buffer_blocks_until_an_ack() {
+        let c = cfg();
+        let (mut r, _) = sa_requester(&c);
+        for i in 0..c.retx_depth as u64 {
+            east(&mut r).push(single(100 + i), VcId(1), 0);
+        }
+        assert!(r.is_blocked(&c, &Routing::Xy));
+        assert!(!r.would_act(3, &c, &Routing::Xy));
+        assert!(east(&mut r).ack(FlitId(100), None, 3).is_some());
+        assert!(!r.is_blocked(&c, &Routing::Xy));
+        r.sa_stage(4, &c);
+        assert_eq!(r.st_pending.len(), 1);
+    }
+
+    #[test]
+    fn owned_output_vcs_block_until_a_tail_ack_frees_one() {
+        let c = cfg();
+        let mut r = router();
+        r.buffer_write(Port::Local(0), VcId(0), head(6), 0);
+        r.rc_stage(1, &c.mesh, &Routing::Xy, 0);
+        for v in 0..c.vcs {
+            let f = single(200 + v as u64);
+            east(&mut r).vc_owner[v as usize] = Some(f.packet);
+            east(&mut r).push(f, VcId(v), 0);
+        }
+        assert!(r.is_blocked(&c, &Routing::Xy));
+        assert!(!r.would_act(2, &c, &Routing::Xy));
+        r.va_stage(2, &c, &Routing::Xy);
+        assert_eq!(r.inputs[4].vcs[0].state, VcState::VcAlloc, "no VC to grant");
+        assert!(east(&mut r).ack(FlitId(202), None, 2).is_some());
+        assert!(!r.is_blocked(&c, &Routing::Xy));
+        r.va_stage(3, &c, &Routing::Xy);
+        assert_eq!(r.inputs[4].vcs[0].out_vc, Some(VcId(2)));
+    }
+
+    #[test]
+    fn a_closed_tdm_slot_does_not_block() {
+        let mut c = cfg();
+        c.qos = QosMode::Tdm { domains: 2 };
+        let (mut r, _) = sa_requester(&c);
+        // VC 0 is domain 0: cycle 3 belongs to domain 1.
+        r.sa_stage(3, &c);
+        assert!(r.st_pending.is_empty(), "the slot is closed");
+        assert!(!r.is_blocked(&c, &Routing::Xy), "it opens next cycle");
+        r.sa_stage(4, &c);
+        assert_eq!(r.st_pending.len(), 1);
+    }
+
+    #[test]
+    fn ejection_crossbar_moves_and_holds_are_never_blocked() {
+        let c = cfg();
+        let mesh = c.mesh.clone();
+        let mut r = router();
+        r.buffer_write(Port::Net(Direction::West), VcId(1), head(5), 0);
+        r.rc_stage(1, &mesh, &Routing::Xy, 0);
+        assert!(!r.is_blocked(&c, &Routing::Xy), "local VA requester");
+        r.va_stage(2, &c, &Routing::Xy);
+        assert!(!r.is_blocked(&c, &Routing::Xy), "local SA requester");
+
+        let blocked = || {
+            let (mut r, w) = sa_requester(&c);
+            east(&mut r).credits[w.index()] = 0;
+            assert!(r.is_blocked(&c, &Routing::Xy));
+            r
+        };
+        let mut r = blocked();
+        r.st_pending.push(StMove {
+            flit: head(5),
+            out_port: Port::Local(0),
+            out_vc: None,
+            granted_at: 3,
+        });
+        assert!(!r.is_blocked(&c, &Routing::Xy), "pending crossbar move");
+        let mut r = blocked();
+        r.inputs[0].delayed.push(crate::input::DelayedEntry {
+            ready: 9,
+            vc: VcId(0),
+            flit: head(5),
+            order: 0,
+        });
+        assert!(!r.is_blocked(&c, &Routing::Xy), "delayed hold");
     }
 
     #[test]

@@ -141,6 +141,12 @@ pub struct Simulator {
     /// that core's VC queues and found them empty. Derived state — never
     /// serialized; rebuilt all-set on construct/restore.
     pub(crate) inj_set: ActiveSet,
+    /// Cores whose last probe found a waiting head and admitted nothing,
+    /// indexed by core. Until SA grants from the core's local port
+    /// ([`Router::local_grants`]) or the core queues a packet, phase 8
+    /// charges the stall without probing again. Derived state — never
+    /// serialized; cleared on construct, quarantine and restore.
+    pub(crate) inj_blocked: Vec<bool>,
     pub(crate) cycle: u64,
     pub(crate) next_flit_id: u64,
     /// Injection cycle per in-flight packet (latency accounting).
@@ -181,10 +187,18 @@ pub struct Simulator {
     pub(crate) router_active: Vec<bool>,
     /// `link_dead[i]` mirrors `dead_links` for O(1) hot-path lookup.
     pub(crate) link_dead: Vec<bool>,
-    /// Hierarchical superset of `router_active` (see [`crate::activeset`]):
-    /// the per-router phases iterate only its set bits. Derived state —
-    /// never serialized; rebuilt all-set on construct/restore/re-shard.
+    /// Routers that may be able to act (see [`crate::activeset`]): the
+    /// per-router phases iterate only its set bits. Every router with
+    /// phase work is in this set or in `parked`. Derived state — never
+    /// serialized; rebuilt all-set on construct/restore/re-shard.
     pub(crate) router_set: ActiveSet,
+    /// Routers whose phase work no stage can move
+    /// ([`Router::is_blocked`]): left out of `router_set` until an
+    /// accepted flit, an ACK or credit on one of their outputs, an
+    /// injection admit, a purge or a routing change wakes them. Their
+    /// `router_active` bool stays true. Derived state — never
+    /// serialized; cleared on construct/restore/re-shard.
+    pub(crate) parked: ActiveSet,
     /// Forward wires that may deliver next P1, indexed by the link's
     /// *destination-partition position* (`dst_pos`). Set at launch,
     /// cleared by the delivering shard.
@@ -292,6 +306,7 @@ impl Simulator {
             inj_queues: (0..cores * vcs).map(|_| VecDeque::new()).collect(),
             inj_rr: vec![0; cores],
             inj_set: ActiveSet::new_all_set(cores),
+            inj_blocked: vec![false; cores],
             cycle: 0,
             next_flit_id: 0,
             birth: std::collections::HashMap::new(),
@@ -309,6 +324,7 @@ impl Simulator {
             router_active: vec![true; n_routers],
             link_dead: vec![false; n_links],
             router_set: ActiveSet::new_all_set(n_routers),
+            parked: ActiveSet::new_all_clear(n_routers),
             fwd_set: ActiveSet::new_all_set(n_links),
             rev_set: ActiveSet::new_all_set(n_links),
             launch_set: ActiveSet::new_all_set(n_links),
@@ -349,6 +365,7 @@ impl Simulator {
         self.src_pos = orders.src_pos;
         self.src_order = orders.src_order;
         self.router_set.set_all();
+        self.parked.clear_all();
         self.fwd_set.set_all();
         self.rev_set.set_all();
         self.launch_set.set_all();
@@ -397,10 +414,13 @@ impl Simulator {
         }
     }
 
-    /// Replace the routing function (rerouting baseline).
+    /// Replace the routing function (rerouting baseline). VA's VC
+    /// classes follow the routing function, so every parked router is
+    /// woken.
     pub fn set_routing(&mut self, routing: Routing) {
         self.routing = routing;
         self.routing_epoch = self.routing_epoch.wrapping_add(1);
+        self.router_set.set_all();
     }
 
     /// Declare links dead: nothing launches on them any more. Combine with
@@ -933,6 +953,51 @@ impl Simulator {
             }
         }
         self.cycle = now + 1;
+        #[cfg(any(test, debug_assertions))]
+        if cfg!(debug_assertions) {
+            self.audit_parking();
+        }
+    }
+
+    /// Debug audit of the parking protocol, run after every `step`:
+    /// every router with phase work is in `router_set` or parked and
+    /// blocked, no parked router would act at the next cycle by the
+    /// reference oracles, and no blocked core has an admissible head.
+    #[cfg(any(test, debug_assertions))]
+    fn audit_parking(&self) {
+        let next = self.cycle;
+        for (r, router) in self.routers.iter().enumerate() {
+            if self.router_set.get(r) {
+                continue;
+            }
+            if self.parked.get(r) {
+                assert!(self.router_active[r], "parked router {r} reads inactive");
+                assert!(
+                    router.is_blocked(&self.cfg, &self.routing),
+                    "parked router {r} is not blocked"
+                );
+                assert!(
+                    !router.would_act(next, &self.cfg, &self.routing),
+                    "parked router {r} would act at cycle {next}"
+                );
+            } else {
+                assert!(
+                    !router.has_phase_work(),
+                    "router {r} holds phase work outside the active and parked sets"
+                );
+            }
+        }
+        let vcs = self.cfg.vcs as usize;
+        let conc = self.mesh.concentration() as usize;
+        for core in (0..self.inj_blocked.len()).filter(|&c| self.inj_blocked[c]) {
+            let unit = &self.routers[core / conc].inputs[Port::Local((core % conc) as u8).index()];
+            assert!(
+                (0..vcs).all(|v| self.inj_queues[core * vcs + v]
+                    .front()
+                    .is_none_or(|f| !injection_admits(unit, f, self.cfg.vc_depth))),
+                "blocked core {core} has an admissible head"
+            );
+        }
     }
 
     /// Advance one cycle under the resilience guards: surfaces quarantine
@@ -1137,6 +1202,7 @@ impl Simulator {
         // the injection schedule and dominated the gate's cost in the
         // flood benchmarks — a per-cycle tax that never bought a skip).
         if self.router_set.any_set()
+            || self.parked.any_set()
             || self.fwd_set.any_set()
             || self.rev_set.any_set()
             || self.launch_set.any_set()
@@ -1250,6 +1316,7 @@ impl Simulator {
             link_metrics: DisjointMut::new(self.metrics.link_slice_mut()),
             router_active: DisjointMut::new(&mut self.router_active),
             router_set: &self.router_set,
+            parked: &self.parked,
             fwd_set: &self.fwd_set,
             rev_set: &self.rev_set,
             launch_set: &self.launch_set,
@@ -1441,6 +1508,7 @@ impl Simulator {
             }
             self.inj_queues[core * vcs + pkt.vc.index()].extend(flits.iter().copied());
             self.inj_set.set(core);
+            self.inj_blocked[core] = false;
         }
         self.flit_scratch = flits;
         self.poll_buf = packets;
@@ -1453,6 +1521,7 @@ impl Simulator {
             inj_queues,
             inj_rr,
             inj_set,
+            inj_blocked,
             router_active,
             router_set,
             metrics,
@@ -1462,6 +1531,18 @@ impl Simulator {
         inj_set.for_each_set_in(0..inj_rr.len(), |core| {
             let router = core / conc as usize;
             let port = Port::Local((core % conc as usize) as u8);
+            let granted = 1u64 << port.index();
+            // A blocked core's probe reads only its queue heads and its
+            // local input unit; neither has changed without a new packet
+            // (which clears the flag) or an SA grant from the port.
+            if inj_blocked[core] && routers[router].local_grants & granted == 0 {
+                metrics
+                    .router_mut(NodeId(router as u16))
+                    .injection_stalls
+                    .inc();
+                return;
+            }
+            routers[router].local_grants &= !granted;
             let start = inj_rr[core] as usize;
             let mut admitted = false;
             let mut waiting = false;
@@ -1473,19 +1554,7 @@ impl Simulator {
                 waiting = true;
                 let vc = f.header.vc;
                 debug_assert_eq!(vc.index(), v);
-                let unit = &routers[router].inputs[port.index()];
-                let ivc = &unit.vcs[vc.index()];
-                let admit_head = f.kind.carries_header()
-                    && ivc.state == crate::input::VcState::Idle
-                    && ivc.fifo.is_empty();
-                let admit_body = !f.kind.carries_header()
-                    && ivc
-                        .fifo
-                        .back()
-                        .map(|b| b.packet == f.packet)
-                        .unwrap_or(ivc.state != crate::input::VcState::Idle);
-                let has_room = unit.free_slots(vc, cfg.vc_depth as usize) > 0;
-                if has_room && (admit_head || admit_body) {
+                if injection_admits(&routers[router].inputs[port.index()], &f, cfg.vc_depth) {
                     inj_queues[q].pop_front();
                     routers[router].buffer_write(port, vc, f, now);
                     router_active[router] = true;
@@ -1496,6 +1565,7 @@ impl Simulator {
                     break;
                 }
             }
+            inj_blocked[core] = waiting && !admitted;
             if !waiting {
                 // Every VC queue of this core was probed and found empty.
                 inj_set.clear(core);
@@ -1648,6 +1718,10 @@ impl Simulator {
         self.dead_links.push(link);
         self.link_dead[link.index()] = true;
         let (flits, packets) = self.purge_packets(&victims, link);
+        // The purge returned credits, output VCs and local slots behind
+        // parked routers and blocked cores, and the routes change below.
+        self.router_set.set_all();
+        self.inj_blocked.fill(false);
         self.stats.quarantined_links += 1;
         emit!(
             self,
@@ -1872,6 +1946,24 @@ impl Simulator {
             self.telemetry = Some(tel);
         }
     }
+}
+
+/// Whether injection-queue head `f` may enter the local input unit
+/// `unit` now: a head needs an idle, empty VC, a body flit must follow
+/// its own packet (or a VC still forwarding it), and either needs a
+/// free slot. Phase 8's probe and the blocked-core audit share it.
+fn injection_admits(unit: &crate::input::InputUnit, f: &Flit, depth: u8) -> bool {
+    let ivc = &unit.vcs[f.header.vc.index()];
+    let admit = if f.kind.carries_header() {
+        ivc.state == crate::input::VcState::Idle && ivc.fifo.is_empty()
+    } else {
+        ivc.fifo
+            .back()
+            .map_or(ivc.state != crate::input::VcState::Idle, |b| {
+                b.packet == f.packet
+            })
+    };
+    admit && unit.free_slots(f.header.vc, depth as usize) > 0
 }
 
 #[cfg(test)]
@@ -2341,6 +2433,127 @@ mod tests {
     #[test]
     fn restore_resets_the_backlog_set_across_a_purging_quarantine() {
         restore_resets_the_backlog_set(Some((66, LinkId(3))));
+    }
+
+    /// An unprotected paper mesh with a TASP trojan on the 5→1 link,
+    /// hunting flits bound for router 1. Every flow that ends at router 1
+    /// from the rows above descends through that link, so under
+    /// `Flood { until: 100 }` its NACK livelock backs the mesh up until
+    /// it seals: the last flit is delivered near cycle 550, after which
+    /// a dozen routers hold flits no stage can move and most cores wait
+    /// at full injection ports.
+    fn sealing_flood() -> (Simulator, Flood, LinkId) {
+        use noc_trojan::{TargetSpec, TaspConfig, TaspHt};
+        let mut sim = Simulator::new(SimConfig::paper_unprotected());
+        let link = sim
+            .mesh()
+            .link_out(NodeId(5), Direction::South)
+            .expect("router 5 has a south link");
+        let ht = TaspHt::new(TaspConfig::new(TargetSpec::dest(1)));
+        let faults = std::mem::replace(sim.link_faults_mut(link), LinkFaults::healthy(0));
+        *sim.link_faults_mut(link) = faults.with_trojan(ht);
+        sim.arm_trojans(true);
+        (sim, Flood { until: 100 }, link)
+    }
+
+    fn blocked_cores(sim: &Simulator) -> usize {
+        sim.inj_blocked.iter().filter(|b| **b).count()
+    }
+
+    #[test]
+    fn a_sealed_mesh_schedules_only_its_livelocked_link() {
+        let (mut sim, mut src, _) = sealing_flood();
+        drive(&mut sim, &mut src, 1_000, None);
+        let delivered = sim.stats().delivered_flits;
+        let stalls = |sim: &Simulator| -> u64 {
+            sim.metrics
+                .routers
+                .iter()
+                .map(|r| r.injection_stalls.get())
+                .sum()
+        };
+        for _ in 0..200 {
+            let before = stalls(&sim);
+            sim.step(&mut src);
+            assert_eq!(sim.stats().delivered_flits, delivered, "the mesh is sealed");
+            // Router 1 is the one router the NACKed arrivals still visit.
+            assert!(
+                sim.router_set.count() <= 1,
+                "cycle {}: {} routers scheduled",
+                sim.cycle(),
+                sim.router_set.count()
+            );
+            assert!(sim.parked.count() >= 8, "{} parked", sim.parked.count());
+            assert!(blocked_cores(&sim) >= 16, "{} blocked", blocked_cores(&sim));
+            // Every waiting core is still charged its stall, unprobed.
+            let waiting = (0..sim.inj_rr.len())
+                .filter(|&core| sim.core_queue_len(core) > 0)
+                .count() as u64;
+            assert_eq!(stalls(&sim) - before, waiting);
+        }
+    }
+
+    /// Runs one sealing flood straight to `END` and another that is
+    /// snapshotted at `snap_at`, stepped on until `resume_at`, restored
+    /// into the same simulator and finished; both apply `quarantine`.
+    /// Their stats, counters and final snapshot bytes must agree. A fresh
+    /// simulator starts with nothing parked or blocked, so only this path
+    /// catches parking state that outlives a restore or a quarantine.
+    /// The straight run also re-plans its shards right after the
+    /// quarantine, which wakes every router, so a quarantine that leaves
+    /// a router parked diverges from it.
+    fn restore_resets_the_parking_state(
+        snap_at: u64,
+        resume_at: u64,
+        quarantine: Option<u64>,
+    ) -> Simulator {
+        const END: u64 = 2_500;
+        let (mut straight, mut src, link) = sealing_flood();
+        let run = |sim: &mut Simulator, src: &mut Flood, until: u64, replan: bool| {
+            while sim.cycle() < until {
+                if quarantine == Some(sim.cycle()) {
+                    sim.quarantine_link(link)
+                        .expect("one dead link keeps the paper mesh connected");
+                    if replan {
+                        sim.set_threads(sim.threads());
+                    }
+                }
+                sim.step(src);
+            }
+        };
+        run(&mut straight, &mut src, END, true);
+
+        let (mut sim, mut src, _) = sealing_flood();
+        run(&mut sim, &mut src, snap_at, false);
+        assert!(sim.parked.count() > 0 || snap_at < 500, "nothing parked");
+        let snap = sim.snapshot();
+        run(&mut sim, &mut src, resume_at, false);
+        assert!(blocked_cores(&sim) > 0, "no core blocked");
+        sim.restore(&snap)
+            .expect("a simulator restores its own snapshot");
+        run(&mut sim, &mut src, END, false);
+        assert_eq!(sim.stats(), straight.stats());
+        assert_eq!(sim.metrics.routers_csv(), straight.metrics.routers_csv());
+        assert_eq!(sim.metrics.links_csv(END), straight.metrics.links_csv(END));
+        assert_eq!(sim.snapshot().to_bytes(), straight.snapshot().to_bytes());
+        straight
+    }
+
+    #[test]
+    fn restore_resets_parked_routers_and_blocked_cores() {
+        // Snapshot while the mesh still delivers; restore once it has
+        // sealed, with cores blocked that were admitting at the snapshot.
+        let straight = restore_resets_the_parking_state(300, 900, None);
+        assert!(!straight.is_quiescent(), "the trojan keeps the mesh sealed");
+    }
+
+    #[test]
+    fn quarantine_wakes_parked_routers_and_blocked_cores() {
+        // Snapshot the sealed mesh, then quarantine the trojan link: its
+        // purge frees credits and slots behind parked routers and blocked
+        // cores, and the rerouted mesh must drain.
+        let straight = restore_resets_the_parking_state(800, 1_000, Some(850));
+        assert!(straight.is_quiescent(), "the quarantine unseals the mesh");
     }
 
     #[test]

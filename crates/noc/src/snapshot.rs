@@ -1384,6 +1384,9 @@ impl Simulator {
         }
         self.routing_epoch = self.routing_epoch.wrapping_add(1);
         self.inj_set.set_all();
+        self.inj_blocked.fill(false);
+        // Re-planning also resets the router sets: all active, none
+        // parked.
         let threads = self.plans.len().max(1);
         self.set_threads(threads);
         Ok(())

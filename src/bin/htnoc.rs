@@ -1,28 +1,86 @@
 //! `htnoc` — command-line front end for the simulator.
 //!
 //! ```text
-//! htnoc attack   [--app NAME] [--strategy NAME] [--infected PCT] [--cycles N] [--seed N]
-//! htnoc clean    [--app NAME] [--cycles N] [--seed N]
+//! htnoc attack   [--app NAME] [--strategy NAME] [--infected PCT] [--cycles N] [--seed N] [--json]
+//! htnoc clean    [--app NAME] [--cycles N] [--seed N] [--json]
 //! htnoc power
 //! htnoc list
 //! ```
+//!
+//! An unknown subcommand or flag, an unknown app or strategy, an
+//! infection percentage outside 0–100 or an unparsable number prints the
+//! usage to stderr and exits with status 2.
 
 use htnoc::prelude::*;
-use std::collections::HashMap;
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
-    let mut out = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(key) = args[i].strip_prefix("--") {
-            let val = args.get(i + 1).cloned().unwrap_or_default();
-            out.insert(key.to_string(), val);
-            i += 2;
-        } else {
-            i += 1;
+const USAGE: &str = "usage:
+  htnoc attack [--app NAME] [--strategy NAME] [--infected PCT] [--cycles N] [--seed N] [--json]
+  htnoc clean  [--app NAME] [--cycles N] [--seed N] [--json]
+  htnoc power
+  htnoc list";
+
+/// Options of `attack` and `clean`, with their defaults.
+struct Opts {
+    app: AppSpec,
+    strategy: Strategy,
+    infected_pct: f64,
+    cycles: u64,
+    seed: u64,
+    json: bool,
+}
+
+/// Parse `--flag value` pairs (and the `--json` switch) among the
+/// `allowed` flag names. Anything else, an unknown name or an unparsable
+/// or out-of-range value, is an error.
+fn parse_opts(args: &[String], allowed: &[&str]) -> Result<Opts, String> {
+    let mut o = Opts {
+        app: AppSpec::blackscholes(),
+        strategy: Strategy::S2sLob,
+        infected_pct: 5.0,
+        cycles: 1500,
+        seed: 7,
+        json: false,
+    };
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let name = arg
+            .strip_prefix("--")
+            .filter(|n| allowed.contains(n))
+            .ok_or_else(|| format!("unexpected argument {arg:?}"))?;
+        if name == "json" {
+            o.json = true;
+            continue;
+        }
+        let value = args
+            .next()
+            .ok_or_else(|| format!("--{name} needs a value"))?;
+        let bad = |what: &str| format!("--{name} needs {what}, got {value:?}");
+        match name {
+            "app" => o.app = app_by_name(value).ok_or_else(|| bad("an app from `htnoc list`"))?,
+            "strategy" => {
+                o.strategy =
+                    strategy_by_name(value).ok_or_else(|| bad("a strategy from `htnoc list`"))?
+            }
+            "infected" => {
+                o.infected_pct = value
+                    .parse()
+                    .ok()
+                    .filter(|p| (0.0..=100.0).contains(p))
+                    .ok_or_else(|| bad("a percentage from 0 to 100"))?
+            }
+            // The attack run's cycle cap is (300 + N) * 10.
+            "cycles" => {
+                o.cycles = value
+                    .parse::<u64>()
+                    .ok()
+                    .filter(|c| c.checked_add(300).and_then(|t| t.checked_mul(10)).is_some())
+                    .ok_or_else(|| bad("a cycle count"))?
+            }
+            "seed" => o.seed = value.parse().map_err(|_| bad("an unsigned integer"))?,
+            _ => unreachable!("every allowed flag is handled"),
         }
     }
-    out
+    Ok(o)
 }
 
 fn app_by_name(name: &str) -> Option<AppSpec> {
@@ -40,8 +98,8 @@ fn strategy_by_name(name: &str) -> Option<Strategy> {
     })
 }
 
-fn report(r: &htnoc::core::RunResult) {
-    if std::env::args().any(|a| a == "--json") {
+fn report(r: &htnoc::core::RunResult, json: bool) {
+    if json {
         println!("{}", htnoc::core::report::run_result_json("run", r));
         return;
     }
@@ -72,67 +130,40 @@ fn report(r: &htnoc::core::RunResult) {
     }
 }
 
-fn cmd_attack(flags: &HashMap<String, String>) {
-    let app = flags
-        .get("app")
-        .and_then(|n| app_by_name(n))
-        .unwrap_or_else(AppSpec::blackscholes);
-    let strategy = flags
-        .get("strategy")
-        .and_then(|n| strategy_by_name(n))
-        .unwrap_or(Strategy::S2sLob);
-    let pct: f64 = flags
-        .get("infected")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5.0)
-        / 100.0;
-    let cycles: u64 = flags
-        .get("cycles")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1500);
-    let seed: u64 = flags.get("seed").and_then(|v| v.parse().ok()).unwrap_or(7);
-
+fn cmd_attack(o: Opts) {
+    let app = o.app;
     let mesh = Mesh::paper();
-    let mut model = AppModel::new(app.clone(), mesh.clone(), seed);
+    let mut model = AppModel::new(app.clone(), mesh.clone(), o.seed);
     let shares = TrafficMatrix::sample(&mut model, 1500).link_shares_xy(&mesh);
-    let infected = select_infected(&mesh, &shares, pct, Some(app.primary));
+    let infected = select_infected(&mesh, &shares, o.infected_pct / 100.0, Some(app.primary));
     println!(
         "workload {} | defence {:?} | {} infected links | {} injection cycles\n",
         app.name,
-        strategy,
+        o.strategy,
         infected.len(),
-        cycles
+        o.cycles
     );
-    let mut sc = Scenario::paper_default(app, strategy).with_infected(infected);
-    sc.seed = seed;
+    let mut sc = Scenario::paper_default(app, o.strategy).with_infected(infected);
+    sc.seed = o.seed;
     sc.warmup = 300;
-    sc.inject_until = 300 + cycles;
-    sc.max_cycles = (300 + cycles) * 10;
+    sc.inject_until = 300 + o.cycles;
+    sc.max_cycles = (300 + o.cycles) * 10;
     sc.snapshot_interval = 50;
-    report(&run_scenario(&sc));
+    report(&run_scenario(&sc), o.json);
 }
 
-fn cmd_clean(flags: &HashMap<String, String>) {
-    let app = flags
-        .get("app")
-        .and_then(|n| app_by_name(n))
-        .unwrap_or_else(AppSpec::blackscholes);
-    let cycles: u64 = flags
-        .get("cycles")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1500);
-    let seed: u64 = flags.get("seed").and_then(|v| v.parse().ok()).unwrap_or(7);
+fn cmd_clean(o: Opts) {
     println!(
         "workload {} | no trojans | {} injection cycles\n",
-        app.name, cycles
+        o.app.name, o.cycles
     );
-    let mut sc = Scenario::paper_default(app, Strategy::Unprotected);
-    sc.seed = seed;
+    let mut sc = Scenario::paper_default(o.app, Strategy::Unprotected);
+    sc.seed = o.seed;
     sc.warmup = 0;
-    sc.inject_until = cycles;
-    sc.max_cycles = cycles * 10;
+    sc.inject_until = o.cycles;
+    sc.max_cycles = o.cycles * 10;
     sc.snapshot_interval = 50;
-    report(&run_scenario(&sc));
+    report(&run_scenario(&sc), o.json);
 }
 
 fn cmd_power() {
@@ -194,19 +225,26 @@ fn cmd_list() {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let flags = parse_flags(&args[1.min(args.len())..]);
-    match args.first().map(String::as_str) {
-        Some("attack") => cmd_attack(&flags),
-        Some("clean") => cmd_clean(&flags),
-        Some("power") => cmd_power(),
-        Some("list") => cmd_list(),
-        _ => {
-            println!("htnoc — hardware-trojan-aware NoC simulator\n");
-            println!("usage:");
-            println!("  htnoc attack [--app NAME] [--strategy NAME] [--infected PCT] [--cycles N] [--seed N] [--json]");
-            println!("  htnoc clean  [--app NAME] [--cycles N] [--seed N]");
-            println!("  htnoc power");
-            println!("  htnoc list");
+    let (cmd, rest) = args
+        .split_first()
+        .map_or(("", &[][..]), |(cmd, rest)| (cmd.as_str(), rest));
+    let result = match cmd {
+        "attack" => parse_opts(
+            rest,
+            &["app", "strategy", "infected", "cycles", "seed", "json"],
+        )
+        .map(cmd_attack),
+        "clean" => parse_opts(rest, &["app", "cycles", "seed", "json"]).map(cmd_clean),
+        "power" => parse_opts(rest, &[]).map(|_| cmd_power()),
+        "list" => parse_opts(rest, &[]).map(|_| cmd_list()),
+        "" => {
+            println!("htnoc — hardware-trojan-aware NoC simulator\n\n{USAGE}");
+            Ok(())
         }
+        _ => Err(format!("unknown subcommand {cmd:?}")),
+    };
+    if let Err(err) = result {
+        eprintln!("htnoc: {err}\n\n{USAGE}");
+        std::process::exit(2);
     }
 }
