@@ -1,12 +1,13 @@
 //! Microbenchmarks of the hot paths every experiment leans on: SECDED
-//! encode/decode, TASP snooping, L-Ob transforms, up*/down* route-table
-//! construction, and a raw simulator cycle.
+//! encode/decode, TASP snooping, L-Ob transforms, the checkpoint CRC,
+//! up*/down* route-table construction, and a raw simulator cycle.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use htnoc_core::prelude::*;
 use noc_ecc::{flip_bit, flip_bits, Secded};
 use noc_mitigation::LobPlan;
 use noc_sim::routing::{xy_direction, RouteTables};
+use noc_sim::snapshot::{crc64, crc64_portable};
 use noc_sim::telemetry::PHASE_LABELS;
 use noc_sim::{LinkFaults, TelemetryConfig, TrafficSource};
 use noc_traffic::{Pattern, SyntheticTraffic};
@@ -96,6 +97,22 @@ fn bench_lob(c: &mut Criterion) {
             })
         });
     }
+    g.finish();
+}
+
+/// The CRC-64 that seals every checkpoint, over a buffer the size of the
+/// `bursty_ckpt` checkpoint body (450,609 bytes): the dispatcher (the
+/// carry-less-multiply kernel on CPUs with `pclmulqdq`) and the portable
+/// slice-by-8 reference.
+fn bench_snapshot(c: &mut Criterion) {
+    let mut g = c.benchmark_group("snapshot");
+    let body: Vec<u8> = (0..450_609u64)
+        .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8)
+        .collect();
+    g.bench_function("crc64_450k", |b| b.iter(|| crc64(black_box(&body))));
+    g.bench_function("crc64_450k_portable", |b| {
+        b.iter(|| crc64_portable(black_box(&body)))
+    });
     g.finish();
 }
 
@@ -216,6 +233,7 @@ criterion_group!(
     bench_secded,
     bench_tasp,
     bench_lob,
+    bench_snapshot,
     bench_routing,
     bench_sim_cycle,
     bench_phases

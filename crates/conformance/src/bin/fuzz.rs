@@ -31,7 +31,7 @@ use htnoc_conformance::{
     TOPOLOGY_MESH, TOPOLOGY_TORUS,
 };
 use noc_sim::config::Sabotage;
-use noc_sim::snapshot::crc64;
+use noc_sim::snapshot::{open_frame, seal_frame};
 use noc_sim::{Reader, TelemetryOut, Writer};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -83,23 +83,14 @@ fn save_progress(dir: &Path, p: &Progress) -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;
     let mut w = Writer::default();
     w.put(&mut (p.next_seed, p.ran));
-    let payload = w.into_bytes();
-    let mut bytes = Vec::with_capacity(16 + payload.len());
-    bytes.extend_from_slice(PROGRESS_MAGIC);
-    bytes.extend_from_slice(&crc64(&payload).to_le_bytes());
-    bytes.extend_from_slice(&payload);
+    let bytes = seal_frame(PROGRESS_MAGIC, &w.into_bytes());
     noc_sim::telemetry::write_atomic(&progress_path(dir), &bytes)
 }
 
 /// Load persisted progress; `None` when absent or corrupt (start fresh).
 fn load_progress(dir: &Path) -> Option<Progress> {
     let bytes = std::fs::read(progress_path(dir)).ok()?;
-    let body = bytes.strip_prefix(PROGRESS_MAGIC)?;
-    let (crc_bytes, payload) = body.split_at_checked(8)?;
-    if crc64(payload) != u64::from_le_bytes(crc_bytes.try_into().ok()?) {
-        return None;
-    }
-    let mut r = Reader::new(payload);
+    let mut r = Reader::new(open_frame(PROGRESS_MAGIC, &bytes).ok()?);
     let (next_seed, ran) = r.get().ok()?;
     r.finish().ok()?;
     Some(Progress { next_seed, ran })
@@ -340,4 +331,37 @@ fn main() {
         "fuzz: {ran} scenarios, zero divergences ({}s)",
         start.elapsed().as_secs()
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use noc_sim::snapshot::crc64_portable;
+
+    #[test]
+    fn progress_record_keeps_its_layout_and_refuses_any_flipped_byte() {
+        let dir = std::env::temp_dir().join(format!("htnoc-fuzz-progress-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        // The record's layout, byte by byte: magic ‖ crc64(payload) ‖
+        // payload, the payload `next_seed ‖ ran` as little-endian u64s.
+        let mut payload = 1_234u64.to_le_bytes().to_vec();
+        payload.extend_from_slice(&56u64.to_le_bytes());
+        let mut record = PROGRESS_MAGIC.to_vec();
+        record.extend_from_slice(&crc64_portable(&payload).to_le_bytes());
+        record.extend_from_slice(&payload);
+
+        std::fs::write(progress_path(&dir), &record).expect("record written");
+        let p = load_progress(&dir).expect("a hand-built record loads");
+        assert_eq!((p.next_seed, p.ran), (1_234, 56));
+        save_progress(&dir, &p).expect("progress saves");
+        assert_eq!(std::fs::read(progress_path(&dir)).expect("saved"), record);
+
+        for i in 0..record.len() {
+            let mut bad = record.clone();
+            bad[i] ^= 0x01;
+            std::fs::write(progress_path(&dir), &bad).expect("record written");
+            assert!(load_progress(&dir).is_none(), "flip at byte {i} loaded");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -114,12 +114,16 @@ fn main() {
             if resume { ", resuming" } else { "" },
         );
         match trojan_flood_checkpointed(seed, &opts) {
-            Some(rep) => println!("{rep}"),
-            None => {
+            Ok(Some(rep)) => println!("{rep}"),
+            Ok(None) => {
                 println!(
                     "halted at cycle {} (simulated crash); rerun with --resume",
                     opts.halt_at.unwrap()
                 );
+            }
+            Err(e) => {
+                eprintln!("campaign: {e}");
+                std::process::exit(2);
             }
         }
         return;

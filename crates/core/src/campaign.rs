@@ -25,8 +25,8 @@
 use noc_sim::fault::StuckWires;
 use noc_sim::routing::{xy_direction, xy_path, Routing};
 use noc_sim::{
-    SimConfig, SimError, Simulator, StallReport, TelemetryConfig, TelemetryOut, TraceConfig,
-    TraceSink, TrafficSource, WatchdogConfig,
+    SimConfig, SimError, Simulator, SnapshotError, StallReport, TelemetryConfig, TelemetryOut,
+    TraceConfig, TraceSink, TrafficSource, WatchdogConfig,
 };
 use noc_traffic::{Pattern, SyntheticTraffic};
 use noc_trojan::{TargetSpec, TaspConfig, TaspHt};
@@ -671,6 +671,25 @@ impl CheckpointOpts {
     }
 }
 
+/// A checkpoint [`trojan_flood_checkpointed`] could not load, decode or
+/// save.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CheckpointError {
+    /// The checkpoint file, or the checkpoint directory when the failure
+    /// is not tied to one file (listing it, writing into it).
+    pub path: std::path::PathBuf,
+    /// What went wrong.
+    pub error: SnapshotError,
+}
+
+impl std::fmt::Display for CheckpointError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "checkpoint {}: {}", self.path.display(), self.error)
+    }
+}
+
+impl std::error::Error for CheckpointError {}
+
 /// [`trojan_flood`] under periodic crash-safe checkpointing: every
 /// `opts.every` cycles the complete simulator state plus the traffic
 /// cursor and the stall log land in `opts.dir` (atomic write, rotated).
@@ -678,10 +697,15 @@ impl CheckpointOpts {
 /// checkpoint and finishes **bit-identically** to an uninterrupted run —
 /// same cycles, same stats, same stall diagnoses.
 ///
-/// Returns `None` when `opts.halt_at` stopped the run mid-flight (the
+/// Returns `Ok(None)` when `opts.halt_at` stopped the run mid-flight (the
 /// simulated crash); otherwise the report, which matches
-/// [`trojan_flood`] for the same seed exactly.
-pub fn trojan_flood_checkpointed(seed: u64, opts: &CheckpointOpts) -> Option<ScenarioReport> {
+/// [`trojan_flood`] for the same seed exactly. An unreadable checkpoint
+/// directory, a failed save, or a newest checkpoint whose stall log or
+/// traffic cursor does not decode is a [`CheckpointError`].
+pub fn trojan_flood_checkpointed(
+    seed: u64,
+    opts: &CheckpointOpts,
+) -> Result<Option<ScenarioReport>, CheckpointError> {
     use noc_sim::{Checkpointer, Persist, Reader, Writer};
 
     const ARM_AT: u64 = 200;
@@ -712,15 +736,19 @@ pub fn trojan_flood_checkpointed(seed: u64, opts: &CheckpointOpts) -> Option<Sce
     let mut stalls: Vec<StallReport> = Vec::new();
 
     let ck = Checkpointer::new(&opts.dir, opts.keep);
+    let in_dir = |error: SnapshotError| CheckpointError {
+        path: opts.dir.clone(),
+        error,
+    };
     if opts.resume {
-        if let Some((path, snap)) = ck.load_latest().expect("checkpoint dir must be readable") {
+        if let Some((path, snap)) = ck.load_latest().map_err(in_dir)? {
             // `user_data` holds the stall log, then the traffic cursor.
             let mut ud = Reader::new(snap.user_data());
             sim.restore(&snap)
                 .and_then(|()| stalls.persist(&mut ud))
                 .and_then(|()| traffic.load_cursor(&mut ud))
                 .and_then(|()| ud.finish())
-                .unwrap_or_else(|e| panic!("resume from {} failed: {e}", path.display()));
+                .map_err(|error| CheckpointError { path, error })?;
         }
     }
 
@@ -731,8 +759,7 @@ pub fn trojan_flood_checkpointed(seed: u64, opts: &CheckpointOpts) -> Option<Sce
             ud.put(stalls);
             traffic.save_cursor(&mut ud);
             snap.set_user_data(ud.into_bytes());
-            ck.save(&snap)
-                .unwrap_or_else(|e| panic!("checkpoint save failed: {e}"));
+            ck.save(&snap).map(drop).map_err(in_dir)
         };
 
     let mut drained = false;
@@ -745,10 +772,10 @@ pub fn trojan_flood_checkpointed(seed: u64, opts: &CheckpointOpts) -> Option<Sce
             sim.arm_trojans(true);
         }
         if opts.every > 0 && now > 0 && now.is_multiple_of(opts.every) {
-            save(&mut sim, &mut traffic, &mut stalls);
+            save(&mut sim, &mut traffic, &mut stalls)?;
         }
         if opts.halt_at.is_some_and(|h| now >= h) {
-            return None;
+            return Ok(None);
         }
         if traffic.done() && sim.is_quiescent() {
             drained = true;
@@ -795,7 +822,7 @@ pub fn trojan_flood_checkpointed(seed: u64, opts: &CheckpointOpts) -> Option<Sce
         rep.quarantined_links >= 1,
         "the diagnosis must lead to a quarantine"
     );
-    Some(rep)
+    Ok(Some(rep))
 }
 
 /// Run every scenario on seeds derived from `seed`. Each scenario panics
@@ -873,6 +900,7 @@ mod tests {
         let plain = trojan_flood(seed);
         let dir = scratch_dir("full");
         let rep = trojan_flood_checkpointed(seed, &CheckpointOpts::new(&dir, 500))
+            .expect("checkpoints save")
             .expect("no halt requested");
         assert_eq!(plain.cycles, rep.cycles);
         assert_eq!(plain.injected_flits, rep.injected_flits);
@@ -891,12 +919,16 @@ mod tests {
         // watchdog quarantine...
         let mut opts = CheckpointOpts::new(&dir, 300);
         opts.halt_at = Some(1700);
-        assert!(trojan_flood_checkpointed(seed, &opts).is_none());
+        assert!(trojan_flood_checkpointed(seed, &opts)
+            .expect("checkpoints save")
+            .is_none());
         // ...then resume from the newest checkpoint: the finished run must
         // be indistinguishable from one that never crashed.
         opts.halt_at = None;
         opts.resume = true;
-        let rep = trojan_flood_checkpointed(seed, &opts).expect("resumed run completes");
+        let rep = trojan_flood_checkpointed(seed, &opts)
+            .expect("the newest checkpoint resumes")
+            .expect("resumed run completes");
         assert_eq!(plain.cycles, rep.cycles);
         assert_eq!(plain.injected_flits, rep.injected_flits);
         assert_eq!(plain.delivered_flits, rep.delivered_flits);

@@ -1,0 +1,71 @@
+//! The checkpointed campaign fails typed: a checkpoint directory it
+//! cannot use, or a newest checkpoint whose driver records do not decode,
+//! ends the `campaign` binary with exit status 2 and a message naming
+//! the path, never a panic.
+
+use noc_sim::SimSnapshot;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+fn campaign(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_campaign"))
+        .args(args)
+        .output()
+        .expect("campaign runs")
+}
+
+fn scratch_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("htnoc-ckpt-errors-{}-{tag}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    dir
+}
+
+fn assert_exit_2_naming(out: &Output, path: &Path) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(
+        stderr.contains(&path.display().to_string()),
+        "the message must name {}: {stderr}",
+        path.display()
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
+fn a_checkpoint_dir_that_is_a_regular_file_exits_2() {
+    let dir = scratch_dir("file");
+    let file = dir.join("not-a-dir");
+    std::fs::write(&file, b"").expect("regular file");
+    let file_arg = file.to_str().expect("utf-8 temp path");
+    // Without --resume the first save fails; with it, the listing does.
+    for extra in [&[][..], &["--resume"][..]] {
+        let mut args = vec!["--checkpoint-dir", file_arg, "--checkpoint-every", "100"];
+        args.extend_from_slice(extra);
+        assert_exit_2_naming(&campaign(&args), &file);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_checkpoint_with_truncated_user_data_exits_2() {
+    let dir = scratch_dir("truncated");
+    let dir_arg = dir.to_str().expect("utf-8 temp path");
+    let ckpt = ["--checkpoint-dir", dir_arg, "--checkpoint-every", "300"];
+    let halted = campaign(&[&ckpt[..], &["--halt-at", "700"]].concat());
+    assert!(halted.status.success(), "{halted:?}");
+    let newest = std::fs::read_dir(&dir)
+        .expect("checkpoint dir")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "snap"))
+        .max()
+        .expect("a checkpoint was written");
+    // Cut the stall log and traffic cursor short; `write_atomic` re-seals
+    // the CRC, so only the driver's own decode can object.
+    let mut snap = SimSnapshot::read(&newest).expect("checkpoint reads");
+    let half = snap.user_data()[..snap.user_data().len() / 2].to_vec();
+    snap.set_user_data(half);
+    snap.write_atomic(&newest).expect("checkpoint rewritten");
+
+    assert_exit_2_naming(&campaign(&[&ckpt[..], &["--resume"]].concat()), &newest);
+    std::fs::remove_dir_all(&dir).ok();
+}
