@@ -9,7 +9,7 @@ use noc_mitigation::LobPlan;
 use noc_sim::routing::{xy_direction, RouteTables};
 use noc_sim::snapshot::{crc64, crc64_portable};
 use noc_sim::telemetry::PHASE_LABELS;
-use noc_sim::{LinkFaults, TelemetryConfig, TrafficSource};
+use noc_sim::{TelemetryConfig, TrafficSource};
 use noc_traffic::{Pattern, SyntheticTraffic};
 use noc_types::Direction;
 
@@ -188,8 +188,7 @@ fn flood_parts() -> (Simulator, Box<dyn TrafficSource>) {
         sim.mesh().link_out(feeder, dir).expect("adjacent")
     };
     let ht = TaspHt::new(TaspConfig::new(TargetSpec::dest((victim.0 & 0xF) as u8)));
-    let faults = std::mem::replace(sim.link_faults_mut(hot), LinkFaults::healthy(hot.0 as u64));
-    *sim.link_faults_mut(hot) = faults.with_trojan(ht);
+    sim.link_faults_mut(hot).trojan = Some(ht);
     sim.arm_trojans(true);
     let mesh = sim.mesh().clone();
     let traffic = SyntheticTraffic::new(mesh, Pattern::Hotspot(vec![victim]), 0.02, 0x0D15_EA5E);

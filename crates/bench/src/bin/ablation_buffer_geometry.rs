@@ -32,11 +32,7 @@ fn run(vcs: u8, vc_depth: u8, mitigation: bool) -> (f64, u64, bool) {
         let ht = TaspHt::new(TaspConfig::new(TargetSpec::dest(
             (app.primary.0 & 0xF) as u8,
         )));
-        let faults = std::mem::replace(
-            sim.link_faults_mut(*l),
-            noc_sim::fault::LinkFaults::healthy(0),
-        );
-        *sim.link_faults_mut(*l) = faults.with_trojan(ht);
+        sim.link_faults_mut(*l).trojan = Some(ht);
     }
     // The app pins VCs 0..4; with fewer VCs remap by modulo through a
     // custom wrapper.

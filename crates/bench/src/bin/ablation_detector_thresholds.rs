@@ -32,11 +32,7 @@ fn run(lob_threshold: u32, bist_threshold: u32, transients: bool) -> (u64, u64, 
         let ht = TaspHt::new(TaspConfig::new(TargetSpec::dest(
             (app.primary.0 & 0xF) as u8,
         )));
-        let faults = std::mem::replace(
-            sim.link_faults_mut(*l),
-            noc_sim::fault::LinkFaults::healthy(0),
-        );
-        *sim.link_faults_mut(*l) = faults.with_trojan(ht);
+        sim.link_faults_mut(*l).trojan = Some(ht);
     }
     if transients {
         for l in mesh.all_links() {

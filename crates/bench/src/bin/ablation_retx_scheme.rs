@@ -20,13 +20,9 @@ fn run(scheme: RetxScheme, strategy: Strategy) -> (u64, bool) {
     let mut cfg = sc.sim_config();
     cfg.retx_scheme = scheme;
     let mut sim = Simulator::new(cfg);
-    for (i, link) in sc.infected.iter().enumerate() {
+    for link in &sc.infected {
         let ht = TaspHt::new(TaspConfig::new(sc.target.clone()));
-        let faults = std::mem::replace(
-            sim.link_faults_mut(*link),
-            noc_sim::fault::LinkFaults::healthy(i as u64),
-        );
-        *sim.link_faults_mut(*link) = faults.with_trojan(ht);
+        sim.link_faults_mut(*link).trojan = Some(ht);
     }
     let mut traffic = sc.build_traffic(sim.mesh());
     sim.run(sc.warmup, traffic.as_mut());

@@ -40,7 +40,7 @@
 
 use noc_sim::routing::xy_direction;
 use noc_sim::telemetry::{GROUP_COUNT, GROUP_LABELS, PHASE_COUNT, PHASE_LABELS};
-use noc_sim::{LinkFaults, SimConfig, SimSnapshot, Simulator, TelemetryConfig, TrafficSource};
+use noc_sim::{SimConfig, SimSnapshot, Simulator, TelemetryConfig, TrafficSource};
 use noc_traffic::{AppModel, AppSpec, Pattern, SyntheticTraffic};
 use noc_trojan::{TargetSpec, TaspConfig, TaspHt};
 use noc_types::{Direction, Mesh, NodeId};
@@ -267,8 +267,7 @@ fn trojan_flood_parts(budget: u64) -> (Simulator, Box<dyn TrafficSource>) {
             .expect("adjacent routers share a link")
     };
     let ht = TaspHt::new(TaspConfig::new(TargetSpec::dest((victim.0 & 0xF) as u8)));
-    let faults = std::mem::replace(sim.link_faults_mut(hot), LinkFaults::healthy(hot.0 as u64));
-    *sim.link_faults_mut(hot) = faults.with_trojan(ht);
+    sim.link_faults_mut(hot).trojan = Some(ht);
     sim.arm_trojans(true);
     let mesh = sim.mesh().clone();
     let traffic = SyntheticTraffic::new(mesh, Pattern::Hotspot(vec![victim]), 0.05, 0x0D15_EA5E)
@@ -354,8 +353,7 @@ fn scaling_trojan_flood_parts(
             .expect("adjacent routers share a link")
     };
     let ht = TaspHt::new(TaspConfig::new(TargetSpec::dest((victim.0 & 0xF) as u8)));
-    let faults = std::mem::replace(sim.link_faults_mut(hot), LinkFaults::healthy(hot.0 as u64));
-    *sim.link_faults_mut(hot) = faults.with_trojan(ht);
+    sim.link_faults_mut(hot).trojan = Some(ht);
     sim.arm_trojans(true);
     let mesh = sim.mesh().clone();
     let traffic = SyntheticTraffic::new(mesh, Pattern::Hotspot(vec![victim]), 0.02, 0x0D15_EA5E)
@@ -397,8 +395,7 @@ fn torus_trojan_flood(dim: u8, threads: usize, budget: u64, skip: bool) -> Measu
         .link_out(NodeId(dim as u16 - 1), Direction::East)
         .expect("the torus has an East wrap hop on every row");
     let ht = TaspHt::new(TaspConfig::new(TargetSpec::dest((victim.0 & 0xF) as u8)));
-    let faults = std::mem::replace(sim.link_faults_mut(hot), LinkFaults::healthy(hot.0 as u64));
-    *sim.link_faults_mut(hot) = faults.with_trojan(ht);
+    sim.link_faults_mut(hot).trojan = Some(ht);
     sim.arm_trojans(true);
     let mesh = sim.mesh().clone();
     let traffic = SyntheticTraffic::new(mesh, Pattern::Hotspot(vec![victim]), 0.02, 0x0D15_EA5E)

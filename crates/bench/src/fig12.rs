@@ -94,17 +94,13 @@ fn run_tdm(armed: bool, horizon: u64) -> (Vec<UtilSample>, [DomainOutcome; 2]) {
     cfg.retx_scheme = RetxScheme::PerVc;
     cfg.snapshot_interval = 10;
     let mut sim = Simulator::new(cfg);
-    for (i, l) in infected.iter().enumerate() {
+    for l in &infected {
         // The attacker hunts the *victim application*: its memory range is
         // the discriminating target (both domains talk to overlapping
         // routers, but address spaces are disjoint).
         let target = TargetSpec::mem_range(victim.mem_base..=victim.mem_base | 0x00FF_FFFF);
         let ht = TaspHt::new(TaspConfig::new(target));
-        let faults = std::mem::replace(
-            sim.link_faults_mut(*l),
-            noc_sim::fault::LinkFaults::healthy(i as u64),
-        );
-        *sim.link_faults_mut(*l) = faults.with_trojan(ht);
+        sim.link_faults_mut(*l).trojan = Some(ht);
     }
 
     let warmup = 1500u64;

@@ -102,11 +102,7 @@ pub fn measure(distance: u32, kind: FaultKind, cap: u64) -> LatencyPoint {
             let ht = TaspHt::new(
                 TaspConfig::new(TargetSpec::dest((dest.0 & 0xF) as u8)).with_cooldown(u32::MAX),
             );
-            let faults = std::mem::replace(
-                sim.link_faults_mut(first_link),
-                noc_sim::fault::LinkFaults::healthy(0),
-            );
-            *sim.link_faults_mut(first_link) = faults.with_trojan(ht);
+            sim.link_faults_mut(first_link).trojan = Some(ht);
             sim.arm_trojans(true);
         }
         FaultKind::Permanent => {
@@ -121,11 +117,7 @@ pub fn measure(distance: u32, kind: FaultKind, cap: u64) -> LatencyPoint {
         }
         FaultKind::TrojanMitigated | FaultKind::TrojanUnprotected => {
             let ht = TaspHt::new(TaspConfig::new(TargetSpec::dest((dest.0 & 0xF) as u8)));
-            let faults = std::mem::replace(
-                sim.link_faults_mut(first_link),
-                noc_sim::fault::LinkFaults::healthy(0),
-            );
-            *sim.link_faults_mut(first_link) = faults.with_trojan(ht);
+            sim.link_faults_mut(first_link).trojan = Some(ht);
             sim.arm_trojans(true);
         }
     }

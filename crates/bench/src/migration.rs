@@ -162,11 +162,7 @@ pub fn run_with_migration(migrate: bool, horizon: u64) -> MigrationOutcome {
         let ht = TaspHt::new(TaspConfig::new(TargetSpec::dest(
             (app.primary.0 & 0xF) as u8,
         )));
-        let faults = std::mem::replace(
-            sim.link_faults_mut(*l),
-            noc_sim::fault::LinkFaults::healthy(0),
-        );
-        *sim.link_faults_mut(*l) = faults.with_trojan(ht);
+        sim.link_faults_mut(*l).trojan = Some(ht);
     }
 
     let warmup = 800u64;

@@ -267,11 +267,7 @@ fn finish(
 /// Mount an (unarmed) TASP trojan hunting `dest` on `link`.
 fn mount_trojan(sim: &mut Simulator, link: LinkId, dest: NodeId) {
     let ht = TaspHt::new(TaspConfig::new(TargetSpec::dest((dest.0 & 0xF) as u8)));
-    let faults = std::mem::replace(
-        sim.link_faults_mut(link),
-        noc_sim::LinkFaults::healthy(link.0 as u64),
-    );
-    *sim.link_faults_mut(link) = faults.with_trojan(ht);
+    sim.link_faults_mut(link).trojan = Some(ht);
 }
 
 /// The XY link between two adjacent routers.

@@ -175,14 +175,10 @@ impl Scenario {
     /// baseline's dead-link set leaves some router pair unroutable.
     pub fn try_build_sim(&self) -> Result<Simulator, noc_sim::SimError> {
         let mut sim = Simulator::new(self.sim_config());
-        for (i, link) in self.infected.iter().enumerate() {
+        for link in &self.infected {
             let cfg = TaspConfig::new(self.target.clone()).with_cooldown(self.cooldown);
             let ht = TaspHt::new(cfg);
-            let faults = std::mem::replace(
-                sim.link_faults_mut(*link),
-                noc_sim::fault::LinkFaults::healthy(i as u64),
-            );
-            *sim.link_faults_mut(*link) = faults.with_trojan(ht);
+            sim.link_faults_mut(*link).trojan = Some(ht);
         }
         // With nothing to avoid, the rerouting baseline keeps XY (its
         // up*/down* reconfiguration is only triggered by flagged links).

@@ -1,9 +1,11 @@
 //! The checkpointed campaign fails typed: a checkpoint directory it
-//! cannot use, or a newest checkpoint whose driver records do not decode,
-//! ends the `campaign` binary with exit status 2 and a message naming
-//! the path, never a panic.
+//! cannot use, a newest checkpoint whose driver records do not decode, or
+//! one written under another snapshot format version ends the `campaign`
+//! binary with exit status 2 and a message naming the path, never a
+//! panic.
 
-use noc_sim::SimSnapshot;
+use noc_sim::snapshot::{open_frame, seal_frame};
+use noc_sim::{SimSnapshot, SNAPSHOT_VERSION};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -18,6 +20,24 @@ fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("htnoc-ckpt-errors-{}-{tag}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");
     dir
+}
+
+/// Run the campaign into `dir` with checkpoints every 300 cycles until it
+/// halts at cycle 700, and return the newest checkpoint it left.
+fn halt_at_700(dir: &Path) -> PathBuf {
+    let halted = campaign(&[&ckpt_args(dir)[..], &["--halt-at", "700"]].concat());
+    assert!(halted.status.success(), "{halted:?}");
+    std::fs::read_dir(dir)
+        .expect("checkpoint dir")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "snap"))
+        .max()
+        .expect("a checkpoint was written")
+}
+
+fn ckpt_args(dir: &Path) -> [&str; 4] {
+    let dir = dir.to_str().expect("utf-8 temp path");
+    ["--checkpoint-dir", dir, "--checkpoint-every", "300"]
 }
 
 fn assert_exit_2_naming(out: &Output, path: &Path) {
@@ -49,16 +69,7 @@ fn a_checkpoint_dir_that_is_a_regular_file_exits_2() {
 #[test]
 fn a_checkpoint_with_truncated_user_data_exits_2() {
     let dir = scratch_dir("truncated");
-    let dir_arg = dir.to_str().expect("utf-8 temp path");
-    let ckpt = ["--checkpoint-dir", dir_arg, "--checkpoint-every", "300"];
-    let halted = campaign(&[&ckpt[..], &["--halt-at", "700"]].concat());
-    assert!(halted.status.success(), "{halted:?}");
-    let newest = std::fs::read_dir(&dir)
-        .expect("checkpoint dir")
-        .map(|e| e.expect("dir entry").path())
-        .filter(|p| p.extension().is_some_and(|x| x == "snap"))
-        .max()
-        .expect("a checkpoint was written");
+    let newest = halt_at_700(&dir);
     // Cut the stall log and traffic cursor short; `write_atomic` re-seals
     // the CRC, so only the driver's own decode can object.
     let mut snap = SimSnapshot::read(&newest).expect("checkpoint reads");
@@ -66,6 +77,29 @@ fn a_checkpoint_with_truncated_user_data_exits_2() {
     snap.set_user_data(half);
     snap.write_atomic(&newest).expect("checkpoint rewritten");
 
-    assert_exit_2_naming(&campaign(&[&ckpt[..], &["--resume"]].concat()), &newest);
+    assert_exit_2_naming(
+        &campaign(&[&ckpt_args(&dir)[..], &["--resume"]].concat()),
+        &newest,
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_checkpoint_from_another_format_version_exits_2() {
+    let dir = scratch_dir("version");
+    let newest = halt_at_700(&dir);
+    // Declare the previous format version in a frame whose length, magic
+    // and CRC all check out: a sound file, not a torn write to skip.
+    let bytes = std::fs::read(&newest).expect("checkpoint reads");
+    let magic: [u8; 8] = bytes[..8].try_into().expect("8-byte magic");
+    let mut body = open_frame(&magic, &bytes).expect("sealed").to_vec();
+    body[..4].copy_from_slice(&(SNAPSHOT_VERSION - 1).to_le_bytes());
+    std::fs::write(&newest, seal_frame(&magic, &body)).expect("checkpoint rewritten");
+
+    let out = campaign(&[&ckpt_args(&dir)[..], &["--resume"]].concat());
+    assert_exit_2_naming(&out, &dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let version = format!("snapshot version {}", SNAPSHOT_VERSION - 1);
+    assert!(stderr.contains(&version), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -113,8 +113,6 @@ pub struct SimConfig {
     /// An output port whose oldest retransmission entry has waited this
     /// many cycles counts as "blocked" in the router statistics.
     pub blocked_threshold: u64,
-    /// Record a [`crate::message::TraceEvent`] trail for this packet.
-    pub trace_packet: Option<noc_types::PacketId>,
     /// Per-entry retransmission budget. `None` reproduces the paper's
     /// unbounded replay (Fig. 11(a) requires it: the DoS *is* the endless
     /// retransmission). `Some(n)`: once an entry has been launched `n`
@@ -162,7 +160,6 @@ impl SimConfig {
             injection_full_threshold: 16,
             snapshot_interval: 1,
             blocked_threshold: 32,
-            trace_packet: None,
             retry_budget: None,
             check_invariants_every: None,
             watchdog: None,

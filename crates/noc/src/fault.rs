@@ -83,24 +83,6 @@ impl LinkFaults {
         }
     }
 
-    /// Set the per-bit transient upset probability.
-    pub fn with_transients(mut self, bit_prob: f64) -> Self {
-        self.transient_bit_prob = bit_prob;
-        self
-    }
-
-    /// Set the permanent stuck-at wire set.
-    pub fn with_stuck(mut self, stuck: StuckWires) -> Self {
-        self.stuck = stuck;
-        self
-    }
-
-    /// Mount a TASP trojan on this link.
-    pub fn with_trojan(mut self, trojan: TaspHt) -> Self {
-        self.trojan = Some(trojan);
-        self
-    }
-
     /// Pass one codeword across the wire during normal operation.
     ///
     /// `wire_word` is the (possibly obfuscated) 64-bit data word the trojan's
@@ -219,7 +201,8 @@ mod tests {
             stuck_one: 1 << 9,
             stuck_zero: 0,
         };
-        let mut f = LinkFaults::healthy(1).with_stuck(stuck);
+        let mut f = LinkFaults::healthy(1);
+        f.stuck = stuck;
         let report = Bist::scan(&mut f);
         assert!(!report.passed());
         assert_eq!(report.stuck_wires.len(), 1);
@@ -227,7 +210,8 @@ mod tests {
 
     #[test]
     fn transients_flip_bits_at_high_probability() {
-        let mut f = LinkFaults::healthy(7).with_transients(0.5);
+        let mut f = LinkFaults::healthy(7);
+        f.transient_bit_prob = 0.5;
         let cw = Secded::encode(0);
         let mut changed = false;
         for c in 0..8 {
@@ -244,7 +228,8 @@ mod tests {
         let target = TargetSpec::dest(9);
         let mut ht = TaspHt::new(TaspConfig::new(target));
         ht.set_kill_switch(true);
-        let mut f = LinkFaults::healthy(1).with_trojan(ht);
+        let mut f = LinkFaults::healthy(1);
+        f.trojan = Some(ht);
         assert!(f.trojan_armed());
         let word = noc_types::Header {
             src: noc_types::NodeId(0),
@@ -266,14 +251,16 @@ mod tests {
     fn trojan_infected_link_passes_bist() {
         let mut ht = TaspHt::new(TaspConfig::new(TargetSpec::dest(9)));
         ht.set_kill_switch(true); // even armed, BIST sees no target
-        let mut f = LinkFaults::healthy(1).with_trojan(ht);
+        let mut f = LinkFaults::healthy(1);
+        f.trojan = Some(ht);
         assert!(Bist::scan(&mut f).passed(), "the trojan's BIST tell");
     }
 
     #[test]
     fn disarmed_trojan_is_invisible_to_traffic() {
         let ht = TaspHt::new(TaspConfig::new(TargetSpec::dest(9)));
-        let mut f = LinkFaults::healthy(1).with_trojan(ht);
+        let mut f = LinkFaults::healthy(1);
+        f.trojan = Some(ht);
         assert!(!f.trojan_armed());
         let word = 0x0000_0009_u64 << 4; // dest=9 wire pattern
         let cw = Secded::encode(word);

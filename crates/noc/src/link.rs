@@ -490,10 +490,11 @@ mod tests {
     #[test]
     fn delivery_applies_fault_layer() {
         use crate::fault::StuckWires;
-        let faults = LinkFaults::healthy(0).with_stuck(StuckWires {
+        let mut faults = LinkFaults::healthy(0);
+        faults.stuck = StuckWires {
             stuck_one: 1 << 3,
             stuck_zero: 0,
-        });
+        };
         let mut lanes = one_link(faults);
         let flit = lf();
         let clean_cw = flit.codeword;
@@ -508,10 +509,12 @@ mod tests {
     fn view_take_arrival_then_traverse_matches_deliver() {
         use crate::fault::StuckWires;
         let mk = || {
-            LinkFaults::healthy(7).with_stuck(StuckWires {
+            let mut faults = LinkFaults::healthy(7);
+            faults.stuck = StuckWires {
                 stuck_one: 1 << 5,
                 stuck_zero: 0,
-            })
+            };
+            faults
         };
         let mut a = one_link(mk());
         let mut b = one_link(mk());

@@ -59,69 +59,6 @@ pub struct AckMsg {
     pub kind: AckKind,
 }
 
-/// One step in a traced packet's journey (see `SimConfig::trace_packet`).
-/// Forensic observability: replaying a victim packet's trace shows exactly
-/// where the trojan hit it and which obfuscation got it through.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TraceEvent {
-    /// A flit of the traced packet entered a core's injection queue.
-    Injected {
-        /// Simulation cycle of the event.
-        cycle: u64,
-        /// The flit in question.
-        flit: FlitId,
-        /// Injecting core index.
-        core: u16,
-    },
-    /// A flit launched onto a link (with its obfuscation state).
-    Launched {
-        /// Simulation cycle of the event.
-        cycle: u64,
-        /// The flit in question.
-        flit: FlitId,
-        /// Link the flit was driven onto.
-        link: LinkId,
-        /// Obfuscation plan applied at launch, if any.
-        obfuscated: Option<LobPlan>,
-        /// Ladder attempt number of the obfuscation (0 when plain).
-        attempt: u32,
-    },
-    /// A flit arrived at the far end of a link.
-    Delivered {
-        /// Simulation cycle of the event.
-        cycle: u64,
-        /// The flit in question.
-        flit: FlitId,
-        /// Link the flit arrived from.
-        link: LinkId,
-        /// ECC/detector verdict on the crossing.
-        outcome: TraceOutcome,
-    },
-    /// A flit ejected at its destination core.
-    Ejected {
-        /// Simulation cycle of the event.
-        cycle: u64,
-        /// The flit in question.
-        flit: FlitId,
-        /// Router whose local port ejected the flit.
-        router: NodeId,
-    },
-}
-
-/// ECC/detector outcome of one traced link crossing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceOutcome {
-    /// Decoded without error.
-    Clean,
-    /// A single-bit upset was corrected in place.
-    CorrectedSingleBit,
-    /// NACKed: uncorrectable fault (or receive-order violation).
-    Nacked {
-        /// Whether the detector asked the upstream to obfuscate the retry.
-        lob_requested: bool,
-    },
-}
-
 /// Events surfaced to the orchestration layer (rerouting decisions, figure
 /// harnesses, tests).
 #[derive(Debug, Clone, PartialEq)]

@@ -59,7 +59,7 @@ use crate::activeset::ActiveSet;
 use crate::config::{Sabotage, SimConfig};
 use crate::input::{DelayedEntry, PendingScramble};
 use crate::link::LanesView;
-use crate::message::{AckKind, AckMsg, LinkFlit, SimEvent, TraceEvent, TraceOutcome};
+use crate::message::{AckKind, AckMsg, LinkFlit, SimEvent};
 use crate::metrics::LinkMetrics;
 use crate::router::{CreditReturn, Ejection, Router};
 use crate::routing::Routing;
@@ -261,12 +261,10 @@ pub(crate) struct ShardFx {
     pub progress: bool,
     pub p1_kinds: Vec<(u16, TraceKind)>,
     pub p1_events: Vec<(u16, SimEvent)>,
-    pub p1_trace: Vec<(u16, TraceEvent)>,
     pub p3_kinds: Vec<(u16, TraceKind)>,
     pub p3_events: Vec<(u16, SimEvent)>,
     pub p3_quar: Vec<u16>,
     pub p4_kinds: Vec<(u16, TraceKind)>,
-    pub p4_trace: Vec<(u16, TraceEvent)>,
     pub p5_ejections: Vec<(u16, Ejection)>,
     // Telemetry scratch, drained by `Telemetry::absorb_cycle` at commit.
     // Strictly side-band: written only when `PhaseCtx::telemetry` is set
@@ -573,7 +571,6 @@ fn handle_arrival(
     let key = (lf.flit.packet, lf.flit.seq);
     let obf_info = lf.obf.map(|o| (o.attempt, o.plan.method.undo_penalty()));
     let mitigation = ctx.cfg.mitigation;
-    let traced = ctx.cfg.trace_packet == Some(lf.flit.packet);
     let unit = &mut ctx.routers.idx(dst.index()).inputs[in_port.index()];
     let verdict = unit.detector.on_flit(key, &decode, obf_info);
 
@@ -646,21 +643,6 @@ fn handle_arrival(
                 }
             }
         }
-        if traced {
-            let outcome = match decode {
-                Decode::Corrected { .. } => TraceOutcome::CorrectedSingleBit,
-                _ => TraceOutcome::Clean,
-            };
-            fx.p1_trace.push((
-                link.0,
-                TraceEvent::Delivered {
-                    cycle: now,
-                    flit: lf.flit.id,
-                    link,
-                    outcome,
-                },
-            ));
-        }
         if ctx.tracing {
             fx.p1_kinds.push((
                 link.0,
@@ -687,19 +669,6 @@ fn handle_arrival(
             DetectorAction::RetransmitWithLob { attempt } if mitigation => Some(attempt),
             _ => None,
         };
-        if traced {
-            fx.p1_trace.push((
-                link.0,
-                TraceEvent::Delivered {
-                    cycle: now,
-                    flit: lf.flit.id,
-                    link,
-                    outcome: TraceOutcome::Nacked {
-                        lob_requested: lob_attempt.is_some(),
-                    },
-                },
-            ));
-        }
         ctx.link_metrics.idx(li).nacks.inc();
         if ctx.tracing {
             fx.p1_kinds.push((
@@ -1007,9 +976,7 @@ fn phase_acks_and_credits(ctx: &PhaseCtx<'_>, plan: &ShardPlan, fx: &mut ShardFx
 // check (which decides whether the bit may drop) runs first — all three
 // are pure reads, so the reorder is observation-equivalent.
 fn phase_launch(ctx: &PhaseCtx<'_>, plan: &ShardPlan, fx: &mut ShardFx, now: u64) {
-    let ShardFx {
-        p4_kinds, p4_trace, ..
-    } = fx;
+    let p4_kinds = &mut fx.p4_kinds;
     ctx.launch_set
         .for_each_set_in(plan.src_range.clone(), |pos| {
             let li16 = ctx.src_order[pos];
@@ -1072,18 +1039,6 @@ fn phase_launch(ctx: &PhaseCtx<'_>, plan: &ShardPlan, fx: &mut ShardFx, now: u64
                         link,
                         attempt,
                         obf: obf.map(|o| o.plan),
-                    },
-                ));
-            }
-            if ctx.cfg.trace_packet == Some(entry_flit.packet) {
-                p4_trace.push((
-                    li16,
-                    TraceEvent::Launched {
-                        cycle: now,
-                        flit: entry_flit.id,
-                        link,
-                        obfuscated: obf.map(|o| o.plan),
-                        attempt: obf.map(|o| o.attempt).unwrap_or(0),
                     },
                 ));
             }

@@ -5,7 +5,7 @@ use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::fault::LinkFaults;
 use crate::link::LinkLanes;
-use crate::message::{SimEvent, TraceEvent};
+use crate::message::SimEvent;
 use crate::metrics::MetricsRegistry;
 use crate::router::{CreditSite, Router};
 use crate::routing::Routing;
@@ -153,8 +153,6 @@ pub struct Simulator {
     pub(crate) birth: std::collections::HashMap<noc_types::PacketId, u64>,
     pub(crate) stats: SimStats,
     pub(crate) events: Vec<SimEvent>,
-    /// Journey of the traced packet (when `cfg.trace_packet` is set).
-    pub(crate) trace: Vec<TraceEvent>,
     pub(crate) poll_buf: Vec<Packet>,
     /// Cycle of the last network progress event (an ejection anywhere, or
     /// an injection-queue flit admitted into a router) — the global
@@ -312,7 +310,6 @@ impl Simulator {
             birth: std::collections::HashMap::new(),
             stats: SimStats::default(),
             events: Vec::new(),
-            trace: Vec::new(),
             poll_buf: Vec::new(),
             last_progress_cycle: 0,
             pending_quarantine: Vec::new(),
@@ -474,11 +471,6 @@ impl Simulator {
         self.snap_base = (0, 0, 0);
     }
 
-    /// The traced packet's journey so far (`cfg.trace_packet`).
-    pub fn trace(&self) -> &[TraceEvent] {
-        &self.trace
-    }
-
     /// The per-link / per-router metrics registry.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
@@ -541,8 +533,12 @@ impl Simulator {
         )
     }
 
-    /// Forensics: every buffered trace record about `packet`, in order
-    /// (empty when tracing is disabled).
+    /// Forensics: a packet's journey, every buffered trace record about
+    /// `packet` in order — injection, each launch with its L-Ob plan, ECC
+    /// corrections and detections, each accept or NACK (with
+    /// `lob_requested`), and ejection or quarantine drop. Bounded by the
+    /// ring capacity (`cfg.trace`); an attached sink sees every record.
+    /// Empty when tracing is disabled.
     pub fn packet_history(&self, packet: PacketId) -> Vec<Record> {
         self.tracer
             .as_ref()
@@ -1358,7 +1354,6 @@ impl Simulator {
             fx,
             tracer,
             events,
-            trace,
             pending_quarantine,
             stats,
             metrics,
@@ -1385,9 +1380,6 @@ impl Simulator {
         // Simulator events, in phase order (a second, separate stream).
         merge_keyed(fx, |f| &mut f.p1_events, |e| events.push(e));
         merge_keyed(fx, |f| &mut f.p3_events, |e| events.push(e));
-        // Traced-packet journey (third stream).
-        merge_keyed(fx, |f| &mut f.p1_trace, |e| trace.push(e));
-        merge_keyed(fx, |f| &mut f.p4_trace, |e| trace.push(e));
         // Quarantine requests: ascending link id = sequential P3 order.
         for f in fx.iter_mut() {
             pending_quarantine.extend(f.p3_quar.drain(..).map(LinkId));
@@ -1410,13 +1402,6 @@ impl Simulator {
             let mut ejs = std::mem::take(&mut f.p5_ejections);
             for &(r, ej) in ejs.iter() {
                 let node = NodeId(r);
-                if cfg.trace_packet == Some(ej.flit.packet) {
-                    trace.push(TraceEvent::Ejected {
-                        cycle: now,
-                        flit: ej.flit.id,
-                        router: node,
-                    });
-                }
                 metrics.router_mut(node).ejected_flits.inc();
                 if let Some(t) = tracer.as_mut() {
                     t.record(
@@ -1483,15 +1468,6 @@ impl Simulator {
             pkt.packetize_into(&mut self.next_flit_id, &mut flits);
             self.stats.injected_flits += flits.len() as u64;
             let core = pkt.src.index() * conc as usize + (pkt.thread % conc) as usize;
-            if self.cfg.trace_packet == Some(pkt.id) {
-                for f in &flits {
-                    self.trace.push(TraceEvent::Injected {
-                        cycle: now,
-                        flit: f.id,
-                        core: core as u16,
-                    });
-                }
-            }
             if self.tracer.is_some() {
                 for f in &flits {
                     let (flit, packet) = (f.id, f.packet);
@@ -1836,11 +1812,15 @@ impl Simulator {
             q.retain(|f| !victims.contains(&f.packet));
             flits += (before - q.len()) as u64;
         }
+        // Ascending id, not `HashSet` order: the drop records are part of
+        // the trace stream and of a traced simulator's snapshot bytes.
+        let mut ids: Vec<PacketId> = victims.iter().copied().collect();
+        ids.sort_unstable();
         let mut packets = 0u64;
-        for pid in victims {
-            if self.birth.remove(pid).is_some() {
+        for pid in ids {
+            if self.birth.remove(&pid).is_some() {
                 packets += 1;
-                emit!(self, now, TraceKind::PacketDropped { packet: *pid, link });
+                emit!(self, now, TraceKind::PacketDropped { packet: pid, link });
             }
         }
         self.stats.dropped_flits += flits;
@@ -2077,8 +2057,7 @@ mod tests {
             )
             .unwrap();
         let ht = TaspHt::new(TaspConfig::new(TargetSpec::dest(dest as u8)));
-        let faults = std::mem::replace(sim.link_faults_mut(link), LinkFaults::healthy(0));
-        *sim.link_faults_mut(link) = faults.with_trojan(ht);
+        sim.link_faults_mut(link).trojan = Some(ht);
         link
     }
 
@@ -2435,6 +2414,39 @@ mod tests {
         restore_resets_the_backlog_set(Some((66, LinkId(3))));
     }
 
+    /// Two identical traced runs through a purging quarantine write the
+    /// same trace stream and snapshot bytes: the drop records come out in
+    /// ascending packet id, not in the purge set's iteration order.
+    #[test]
+    fn quarantine_drop_records_are_in_ascending_packet_order() {
+        let run = || {
+            let mut cfg = SimConfig::paper();
+            cfg.trace = Some(crate::config::TraceConfig::default());
+            let mut sim = Simulator::new(cfg);
+            let link = sim
+                .mesh()
+                .link_out(NodeId(5), Direction::East)
+                .expect("router 5 has an east link");
+            drive(&mut sim, &mut Flood { until: 40 }, 60, None);
+            sim.quarantine_link(link)
+                .expect("one dead link keeps the paper mesh connected");
+            sim
+        };
+        let (mut a, mut b) = (run(), run());
+        let (ta, tb) = (a.tracer().expect("armed"), b.tracer().expect("armed"));
+        let drops: Vec<PacketId> = ta
+            .records()
+            .filter_map(|r| match r.kind {
+                TraceKind::PacketDropped { packet, .. } => Some(packet),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(drops.len(), 16);
+        assert!(drops.windows(2).all(|w| w[0] < w[1]), "{drops:?}");
+        assert_eq!(ta.to_jsonl(), tb.to_jsonl());
+        assert_eq!(a.snapshot().to_bytes(), b.snapshot().to_bytes());
+    }
+
     /// An unprotected paper mesh with a TASP trojan on the 5→1 link,
     /// hunting flits bound for router 1. Every flow that ends at router 1
     /// from the rows above descends through that link, so under
@@ -2450,8 +2462,7 @@ mod tests {
             .link_out(NodeId(5), Direction::South)
             .expect("router 5 has a south link");
         let ht = TaspHt::new(TaspConfig::new(TargetSpec::dest(1)));
-        let faults = std::mem::replace(sim.link_faults_mut(link), LinkFaults::healthy(0));
-        *sim.link_faults_mut(link) = faults.with_trojan(ht);
+        sim.link_faults_mut(link).trojan = Some(ht);
         sim.arm_trojans(true);
         (sim, Flood { until: 100 }, link)
     }

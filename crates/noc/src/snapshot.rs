@@ -59,7 +59,7 @@ use crate::fault::{LinkFaults, StuckWires};
 use crate::input::{DelayedEntry, InputUnit, InputVc, PendingScramble, VcState};
 use crate::invariants::Violation;
 use crate::link::LinkLanes;
-use crate::message::{AckKind, AckMsg, LinkFlit, ObfWire, SimEvent, TraceEvent, TraceOutcome};
+use crate::message::{AckKind, AckMsg, LinkFlit, ObfWire, SimEvent};
 use crate::metrics::{Counter, Gauge, LinkMetrics, PowHistogram, RouterMetrics};
 use crate::output::{OutputUnit, RetxEntry, SlotState};
 use crate::router::{Router, StMove};
@@ -77,7 +77,7 @@ use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 
 /// Version of the snapshot payload encoding this build writes and reads.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// File magic: identifies a snapshot before any other byte is trusted.
 const MAGIC: [u8; 8] = *b"NOCSNAP\0";
@@ -882,8 +882,12 @@ impl Checkpointer {
     }
 
     /// Load the most recent checkpoint that validates. Skips (but leaves
-    /// in place) any file that fails CRC/version/parse checks — the
-    /// fallback rotation. Returns `Ok(None)` when the directory is
+    /// in place) any file that cannot be read or fails its length, magic,
+    /// CRC or parse checks — the torn writes the fallback rotation exists
+    /// for. A sound file written under another [`SNAPSHOT_VERSION`] is no
+    /// torn write: it ends the search with
+    /// [`SnapshotError::VersionMismatch`] rather than letting the caller
+    /// restart the run over it. Returns `Ok(None)` when the directory is
     /// missing or holds no valid checkpoint.
     pub fn load_latest(&self) -> Result<Option<(PathBuf, SimSnapshot)>, SnapshotError> {
         let mut files = match self.checkpoint_files() {
@@ -893,8 +897,10 @@ impl Checkpointer {
         };
         files.sort();
         for path in files.into_iter().rev() {
-            if let Ok(snap) = SimSnapshot::read(&path) {
-                return Ok(Some((path, snap)));
+            match SimSnapshot::read(&path) {
+                Ok(snap) => return Ok(Some((path, snap))),
+                Err(e @ SnapshotError::VersionMismatch { .. }) => return Err(e),
+                Err(_) => {}
             }
         }
         Ok(None)
@@ -998,19 +1004,6 @@ persist_enum!(default SimEvent "sim event" {
     4 => RetryBudgetEscalated { link, flit, attempts, cycle },
     5 => LinkQuarantined { link, dropped_packets, dropped_flits, cycle },
     6 => WatchdogTripped { report },
-});
-
-persist_enum!(default TraceEvent "trace event" {
-    0 => Injected { cycle, flit, core },
-    1 => Launched { cycle, flit, link, obfuscated, attempt },
-    2 => Delivered { cycle, flit, link, outcome },
-    3 => Ejected { cycle, flit, router },
-});
-
-persist_enum!(default TraceOutcome "trace outcome" {
-    0 => Clean,
-    1 => CorrectedSingleBit,
-    2 => Nacked { lob_requested },
 });
 
 persist_fields!(Violation: router, what);
@@ -1399,7 +1392,7 @@ impl Persist for Simulator {
             self.birth.clear();
             self.birth.extend(birth);
         }
-        persist!(c; self.stats, self.events, self.trace, self.last_progress_cycle)?;
+        persist!(c; self.stats, self.events, self.last_progress_cycle)?;
         self.pending_quarantine.persist(c)?;
         sim_error(c, &mut self.poisoned)?;
         persist!(c; self.watchdog_armed_at, self.snap_base)?;
@@ -1897,7 +1890,6 @@ mod tests {
 
     #[test]
     fn post_mortem_snapshot_written_on_stall() {
-        use crate::fault::LinkFaults;
         use crate::watchdog::WatchdogConfig;
         use noc_trojan::{TargetSpec, TaspConfig, TaspHt};
 
@@ -1914,8 +1906,7 @@ mod tests {
         // the watchdog must trip and drop a post-mortem snapshot.
         let link = sim.mesh().link_out(NodeId(0), Direction::East).unwrap();
         let ht = TaspHt::new(TaspConfig::new(TargetSpec::dest(1)));
-        let faults = std::mem::replace(sim.link_faults_mut(link), LinkFaults::healthy(0));
-        *sim.link_faults_mut(link) = faults.with_trojan(ht);
+        sim.link_faults_mut(link).trojan = Some(ht);
         sim.arm_trojans(true);
         let mut src = ListSource {
             packets: vec![pkt(1, 0, 0, 1, 2)],
@@ -1967,16 +1958,15 @@ mod tests {
 
     /// Small snapshots whose payloads reach every section: on a 2×1 mesh
     /// trojans with exact and range targets, stuck wires, transients, a
-    /// trace ring, a traced packet, a watchdog event and a poisoned
-    /// simulator; table routing after a quarantine on a 2×2 mesh;
-    /// topology tables on a degraded 2×2 mesh.
+    /// trace ring, a watchdog event and a poisoned simulator; table
+    /// routing after a quarantine on a 2×2 mesh; topology tables on a
+    /// degraded 2×2 mesh.
     fn small_cases() -> Vec<(SimConfig, SimSnapshot)> {
         use noc_trojan::{FieldMatch, TargetSpec, TaspConfig, TaspHt};
         let mut out = Vec::new();
 
         let mut cfg = small(noc_types::Mesh::new(2, 1, 1));
         cfg.trace = Some(TraceConfig { capacity: 6 });
-        cfg.trace_packet = Some(PacketId((2 << 32) | 1));
         let mut sim = Simulator::new(cfg.clone());
         let east = sim.mesh().link_out(NodeId(0), Direction::East).unwrap();
         let west = sim.mesh().link_out(NodeId(1), Direction::West).unwrap();
@@ -2097,8 +2087,6 @@ mod tests {
         rejects_bytes::<Direction>("direction tag 4", &[4]);
         rejects_bytes::<StallKind>("stall kind tag 3", &[3]);
         rejects_bytes::<SimEvent>("sim event tag 7", &[7]);
-        rejects_bytes::<TraceEvent>("trace event tag 4", &[4]);
-        rejects_bytes::<TraceOutcome>("trace outcome tag 3", &[3]);
         rejects_bytes::<SlotState>("slot state tag 2", &[2]);
         rejects_bytes::<AckKind>("ack kind tag 2", &[2]);
         rejects_bytes::<TargetSpec>("field match tag 3", &[3]);

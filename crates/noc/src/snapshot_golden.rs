@@ -15,7 +15,7 @@ use crate::error::SimError;
 use crate::fault::StuckWires;
 use crate::input::PendingScramble;
 use crate::invariants::Violation;
-use crate::message::{AckKind, AckMsg, ObfWire, SimEvent, TraceEvent, TraceOutcome};
+use crate::message::{AckKind, AckMsg, ObfWire, SimEvent};
 use crate::output::{RetxEntry, SlotState};
 use crate::routing::Routing;
 use crate::sim::{Simulator, TrafficSource};
@@ -127,9 +127,9 @@ fn user_data(mut stalls: Vec<StallReport>, src: &mut Stream) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Every `SimEvent` and `TraceEvent` variant (and trace outcome), every
-/// fault class, an escalating NACK and a scrambled flit waiting for its
-/// partner: the tags no short scenario is guaranteed to reach.
+/// Every `SimEvent` variant, every fault class, an escalating NACK and a
+/// scrambled flit waiting for its partner: the tags no short scenario is
+/// guaranteed to reach.
 fn reach_remaining_tags(sim: &mut Simulator) {
     let plan = LobPlan::LADDER[1];
     sim.events.extend([
@@ -171,49 +171,6 @@ fn reach_remaining_tags(sim: &mut Simulator) {
     for report in stall_reports() {
         sim.events.push(SimEvent::WatchdogTripped { report });
     }
-    sim.trace.extend([
-        TraceEvent::Injected {
-            cycle: 1,
-            flit: FlitId(9),
-            core: 12,
-        },
-        TraceEvent::Launched {
-            cycle: 2,
-            flit: FlitId(9),
-            link: LinkId(7),
-            obfuscated: Some(plan),
-            attempt: 1,
-        },
-        TraceEvent::Launched {
-            cycle: 3,
-            flit: FlitId(9),
-            link: LinkId(7),
-            obfuscated: None,
-            attempt: 0,
-        },
-    ]);
-    for outcome in [
-        TraceOutcome::Clean,
-        TraceOutcome::CorrectedSingleBit,
-        TraceOutcome::Nacked {
-            lob_requested: true,
-        },
-        TraceOutcome::Nacked {
-            lob_requested: false,
-        },
-    ] {
-        sim.trace.push(TraceEvent::Delivered {
-            cycle: 4,
-            flit: FlitId(9),
-            link: LinkId(7),
-            outcome,
-        });
-    }
-    sim.trace.push(TraceEvent::Ejected {
-        cycle: 5,
-        flit: FlitId(9),
-        router: NodeId(3),
-    });
     for (unit, class) in [
         FaultClass::None,
         FaultClass::Transient,
@@ -281,11 +238,10 @@ fn scenarios() -> Vec<Case> {
     let mut out = Vec::new();
 
     // Paper mesh under L-Ob mitigation with XY routing: trojans with exact
-    // and range targets, stuck wires, transients, a trace ring and a
-    // traced packet — snapshotted mid-attack with plans in flight.
+    // and range targets, stuck wires, transients and a trace ring —
+    // snapshotted mid-attack with plans in flight.
     let mut cfg = SimConfig::paper();
     cfg.trace = Some(TraceConfig { capacity: 48 });
-    cfg.trace_packet = Some(PacketId(5));
     let mut sim = Simulator::new(cfg);
     let hot = link(&sim, 5, Direction::North);
     mount(&mut sim, hot, TaspConfig::new(TargetSpec::dest(9)));

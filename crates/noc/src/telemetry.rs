@@ -32,7 +32,7 @@
 //!   addition: associative, commutative, and therefore shard-order
 //!   independent.
 //! * [`Telemetry`] — the simulator-side aggregate: per-phase nanosecond
-//!   histograms, per-barrier shard load gauges, a bounded engine
+//!   totals, per-barrier shard load gauges, a bounded engine
 //!   timeline exportable as Chrome `trace_event` JSON, the sketches, and
 //!   the alert engine.
 //! * [`AlertRule`]/[`AlertEngine`] — declarative threshold rules
@@ -259,48 +259,6 @@ pub const GROUP_LABELS: [&str; GROUP_COUNT] = ["g1", "g2", "g3"];
 
 /// Which barrier group each phase index belongs to.
 pub const PHASE_GROUP: [usize; PHASE_COUNT] = [0, 0, 1, 1, 2, 2, 2];
-
-/// Power-of-two histogram over nanosecond samples (32 buckets, so spans
-/// 1 ns .. 4 s — wide enough for any per-cycle phase time).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NsHistogram {
-    buckets: [u64; 32],
-    count: u64,
-    sum: u64,
-    max: u64,
-}
-
-impl NsHistogram {
-    /// Record one nanosecond sample.
-    #[inline]
-    pub fn record(&mut self, ns: u64) {
-        let b = (64 - ns.max(1).leading_zeros() as usize - 1).min(31);
-        self.buckets[b] += 1;
-        self.count += 1;
-        self.sum += ns;
-        self.max = self.max.max(ns);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of samples in nanoseconds.
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Largest sample.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Mean sample (0 when empty).
-    pub fn mean(&self) -> u64 {
-        self.sum.checked_div(self.count).unwrap_or(0)
-    }
-}
 
 /// Per-barrier shard-load gauge: how unevenly the shards split the work.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -744,7 +702,6 @@ pub struct Telemetry {
     latency_window: QuantileSketch,
     /// Launch attempts per acknowledged flit (1 = clean delivery).
     pub retx_attempts: QuantileSketch,
-    phase_hist: [NsHistogram; PHASE_COUNT],
     phase_total_ns: [u64; PHASE_COUNT],
     group: [GroupLoad; GROUP_COUNT],
     timeline: Vec<TimelineSlice>,
@@ -768,7 +725,6 @@ impl Telemetry {
             latency: QuantileSketch::new(),
             latency_window: QuantileSketch::new(),
             retx_attempts: QuantileSketch::new(),
-            phase_hist: [NsHistogram::default(); PHASE_COUNT],
             phase_total_ns: [0; PHASE_COUNT],
             group: [GroupLoad::default(); GROUP_COUNT],
             timeline: Vec::new(),
@@ -814,8 +770,8 @@ impl Telemetry {
         self.latency_window.record(latency);
     }
 
-    /// Fold one cycle's per-shard timing scratch into the aggregate
-    /// histograms, imbalance gauges, and timeline, and drain the
+    /// Fold one cycle's per-shard timing scratch into the per-phase
+    /// totals, imbalance gauges, and timeline, and drain the
     /// per-shard retransmission-attempt scratch into the global sketch.
     /// Clears the scratch for the next cycle.
     pub(crate) fn absorb_cycle(
@@ -853,7 +809,6 @@ impl Telemetry {
             }
         }
         for (p, &ns) in phase_cycle_ns.iter().enumerate() {
-            self.phase_hist[p].record(ns);
             self.phase_total_ns[p] += ns;
         }
         for g in 0..GROUP_COUNT {
@@ -909,12 +864,6 @@ impl Telemetry {
     /// The alert engine (history, counters, first-alert cycle).
     pub fn alerts(&self) -> &AlertEngine {
         &self.alerts
-    }
-
-    /// Per-phase histograms of summed-over-shards nanoseconds per cycle,
-    /// indexed like [`PHASE_LABELS`].
-    pub fn phase_histograms(&self) -> &[NsHistogram; PHASE_COUNT] {
-        &self.phase_hist
     }
 
     /// Cumulative nanoseconds spent per phase (summed over shards).
@@ -1708,17 +1657,6 @@ mod tests {
         s.clear();
         assert!(s.is_empty());
         assert_eq!(s.quantile(0.5), 0);
-    }
-
-    #[test]
-    fn ns_histogram_accumulates() {
-        let mut h = NsHistogram::default();
-        h.record(100);
-        h.record(300);
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.sum(), 400);
-        assert_eq!(h.mean(), 200);
-        assert_eq!(h.max(), 300);
     }
 
     #[test]

@@ -8,8 +8,7 @@
 use noc_sim::config::RetxScheme;
 use noc_sim::routing::xy_direction;
 use noc_sim::{
-    LinkFaults, Persist, Reader, SimConfig, SimSnapshot, Simulator, SnapshotError, TrafficSource,
-    Writer,
+    Persist, Reader, SimConfig, SimSnapshot, Simulator, SnapshotError, TrafficSource, Writer,
 };
 use noc_trojan::{TargetSpec, TaspConfig, TaspHt};
 use noc_types::{Direction, Mesh, NodeId, Packet, PacketId, VcId};
@@ -126,8 +125,7 @@ fn build_sim(scheme: RetxScheme, threads: usize, trojan: bool, topo: u8) -> Simu
             .link_out(NodeId(5), dir)
             .expect("adjacent routers share a link");
         let ht = TaspHt::new(TaspConfig::new(TargetSpec::dest((victim.0 & 0xF) as u8)));
-        let faults = std::mem::replace(sim.link_faults_mut(hot), LinkFaults::healthy(hot.0 as u64));
-        *sim.link_faults_mut(hot) = faults.with_trojan(ht);
+        sim.link_faults_mut(hot).trojan = Some(ht);
         sim.arm_trojans(true);
     }
     sim

@@ -45,12 +45,10 @@ fn pkt(id: u64, cycle: u64, src: u16, dest: u16, len: u8) -> Packet {
 /// Mount a destination-hunting TASP trojan on the XY first-hop link
 /// 0 → `dest` and return that link.
 fn mount_dest_trojan(sim: &mut Simulator, dest: u8) -> LinkId {
-    use noc_sim::fault::LinkFaults;
     use noc_trojan::{TargetSpec, TaspConfig, TaspHt};
     let link = sim.mesh().link_out(NodeId(0), Direction::East).unwrap();
     let ht = TaspHt::new(TaspConfig::new(TargetSpec::dest(dest)));
-    let faults = std::mem::replace(sim.link_faults_mut(link), LinkFaults::healthy(0));
-    *sim.link_faults_mut(link) = faults.with_trojan(ht);
+    sim.link_faults_mut(link).trojan = Some(ht);
     link
 }
 

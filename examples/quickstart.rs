@@ -23,9 +23,7 @@ fn run(mitigation: bool) -> (u64, u64, u64, bool) {
         .link_out(NodeId(0), noc_types::Direction::East)
         .expect("mesh link");
     let trojan = TaspHt::new(TaspConfig::new(TargetSpec::dest(1)));
-    let healthy = noc_sim::fault::LinkFaults::healthy(0);
-    let faults = std::mem::replace(sim.link_faults_mut(link), healthy);
-    *sim.link_faults_mut(link) = faults.with_trojan(trojan);
+    sim.link_faults_mut(link).trojan = Some(trojan);
 
     // ... and throws the kill switch.
     sim.arm_trojans(true);

@@ -48,11 +48,7 @@ fn main() {
                 let ht = TaspHt::new(TaspConfig::new(TargetSpec::dest(
                     (AppSpec::blackscholes().primary.0 & 0xF) as u8,
                 )));
-                let faults = std::mem::replace(
-                    sim.link_faults_mut(*l),
-                    htnoc::sim::fault::LinkFaults::healthy(0),
-                );
-                *sim.link_faults_mut(*l) = faults.with_trojan(ht);
+                sim.link_faults_mut(*l).trojan = Some(ht);
             }
             sim.arm_trojans(true);
         }

@@ -84,11 +84,7 @@ fn trojan_on_every_link_is_still_mitigated() {
     let mut sim = Simulator::new(SimConfig::paper());
     for l in mesh.all_links() {
         let ht = TaspHt::new(TaspConfig::new(TargetSpec::dest(0)));
-        let faults = std::mem::replace(
-            sim.link_faults_mut(l),
-            htnoc::sim::fault::LinkFaults::healthy(l.index() as u64),
-        );
-        *sim.link_faults_mut(l) = faults.with_trojan(ht);
+        sim.link_faults_mut(l).trojan = Some(ht);
     }
     sim.arm_trojans(true);
     let mut traffic =
@@ -107,11 +103,7 @@ fn transients_and_trojans_coexist() {
     let mesh = sim.mesh().clone();
     let link = mesh.link_out(NodeId(0), Direction::East).unwrap();
     let ht = TaspHt::new(TaspConfig::new(TargetSpec::dest(1)));
-    let faults = std::mem::replace(
-        sim.link_faults_mut(link),
-        htnoc::sim::fault::LinkFaults::healthy(0),
-    );
-    *sim.link_faults_mut(link) = faults.with_trojan(ht);
+    sim.link_faults_mut(link).trojan = Some(ht);
     sim.arm_trojans(true);
     for l in mesh.all_links() {
         sim.link_faults_mut(l).transient_bit_prob = 0.0002;

@@ -48,11 +48,7 @@ fn fig7_walkthrough_on_a_compromised_link() {
     let trojan = TaspHt::new(TaspConfig::new(TargetSpec::mem_range(
         0x5000_0000..=0x5000_FFFF,
     )));
-    let faults = std::mem::replace(
-        sim.link_faults_mut(link),
-        htnoc::sim::fault::LinkFaults::healthy(0),
-    );
-    *sim.link_faults_mut(link) = faults.with_trojan(trojan);
+    sim.link_faults_mut(link).trojan = Some(trojan);
 
     // Flit #1: not targeted, sent while the trojan is still dormant.
     // Flits #2 (targeted) and #3, #4 (bystanders) follow once it is armed.

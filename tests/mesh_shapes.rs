@@ -84,11 +84,7 @@ fn attack_and_mitigation_work_on_a_2x2_mesh() {
     let mut sim = Simulator::new(config_for(mesh.clone()));
     let link = mesh.link_out(NodeId(0), Direction::East).unwrap();
     let ht = TaspHt::new(TaspConfig::new(TargetSpec::dest(1)));
-    let faults = std::mem::replace(
-        sim.link_faults_mut(link),
-        htnoc::sim::fault::LinkFaults::healthy(0),
-    );
-    *sim.link_faults_mut(link) = faults.with_trojan(ht);
+    sim.link_faults_mut(link).trojan = Some(ht);
     sim.arm_trojans(true);
     let mut src = all_pairs_burst(&mesh, 2);
     assert!(sim.run_to_quiescence(5_000, &mut src), "L-Ob on 2x2");

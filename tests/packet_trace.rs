@@ -1,10 +1,10 @@
 //! Forensic packet tracing: replay the exact journey of a trojan-targeted
-//! packet and verify the attack → detection → obfuscation story appears in
-//! the trace, event by event.
+//! packet from the trace bus (`Simulator::packet_history`) and verify the
+//! attack → detection → obfuscation story appears in it, record by record.
 
 use htnoc::prelude::*;
-use htnoc::sim::message::{TraceEvent, TraceOutcome};
 use htnoc::sim::sim::TrafficSource;
+use htnoc::sim::{Record, TraceConfig, TraceKind};
 use noc_types::{Direction, PacketId};
 
 struct One(Option<Packet>);
@@ -19,159 +19,126 @@ impl TrafficSource for One {
     }
 }
 
-fn traced_sim(mitigation: bool, packet: PacketId) -> Simulator {
+fn traced_sim(mitigation: bool) -> Simulator {
     let mut cfg = if mitigation {
         SimConfig::paper()
     } else {
         SimConfig::paper_unprotected()
     };
-    cfg.trace_packet = Some(packet);
+    cfg.trace = Some(TraceConfig::default());
     let mut sim = Simulator::new(cfg);
     let link = sim.mesh().link_out(NodeId(0), Direction::East).unwrap();
     let ht = TaspHt::new(TaspConfig::new(TargetSpec::dest(1)));
-    let faults = std::mem::replace(
-        sim.link_faults_mut(link),
-        htnoc::sim::fault::LinkFaults::healthy(0),
-    );
-    *sim.link_faults_mut(link) = faults.with_trojan(ht);
+    sim.link_faults_mut(link).trojan = Some(ht);
     sim.arm_trojans(true);
     sim
+}
+
+fn victim(pid: PacketId, dest: u16, len: u8) -> One {
+    One(Some(Packet::new(
+        pid,
+        NodeId(0),
+        NodeId(dest),
+        VcId(0),
+        0,
+        0,
+        len,
+        0,
+    )))
+}
+
+fn nacks(journey: &[Record]) -> usize {
+    journey
+        .iter()
+        .filter(|r| matches!(r.kind, TraceKind::FlitNacked { .. }))
+        .count()
+}
+
+fn obfuscated_launch(journey: &[Record]) -> bool {
+    journey
+        .iter()
+        .any(|r| matches!(r.kind, TraceKind::FlitLaunched { obf: Some(_), .. }))
 }
 
 #[test]
 fn trace_shows_the_full_attack_and_mitigation_story() {
     let pid = PacketId(77);
-    let mut sim = traced_sim(true, pid);
-    let mut src = One(Some(Packet::new(
-        pid,
-        NodeId(0),
-        NodeId(1),
-        VcId(0),
-        0,
-        0,
-        1,
-        0,
-    )));
-    assert!(sim.run_to_quiescence(2000, &mut src));
-    let trace = sim.trace();
+    let mut sim = traced_sim(true);
+    assert!(sim.run_to_quiescence(2000, &mut victim(pid, 1, 1)));
+    let journey = sim.packet_history(pid);
 
     // Story: injected → launched plain → NACKed (trojan) → relaunched →
-    // NACKed again → launched obfuscated → delivered clean → ejected.
+    // NACKed again → launched obfuscated → accepted clean → ejected.
     assert!(
-        matches!(trace.first(), Some(TraceEvent::Injected { .. })),
-        "{trace:#?}"
-    );
-    assert!(
-        matches!(trace.last(), Some(TraceEvent::Ejected { .. })),
-        "{trace:#?}"
-    );
-    let nacks = trace
-        .iter()
-        .filter(|e| {
-            matches!(
-                e,
-                TraceEvent::Delivered {
-                    outcome: TraceOutcome::Nacked { .. },
-                    ..
-                }
-            )
-        })
-        .count();
-    assert!(nacks >= 2, "the trojan hits the plain retries: {trace:#?}");
-    // At least one launch carried an obfuscation plan...
-    let obf_launch = trace.iter().any(|e| {
         matches!(
-            e,
-            TraceEvent::Launched {
-                obfuscated: Some(_),
+            journey.first().map(|r| r.kind),
+            Some(TraceKind::FlitInjected { .. })
+        ),
+        "{journey:#?}"
+    );
+    assert!(
+        matches!(
+            journey.last().map(|r| r.kind),
+            Some(TraceKind::FlitEjected { .. })
+        ),
+        "{journey:#?}"
+    );
+    assert!(
+        nacks(&journey) >= 2,
+        "the trojan hits the plain retries: {journey:#?}"
+    );
+    // The detector asked for an obfuscated retry, and a launch carried a
+    // plan...
+    assert!(
+        journey.iter().any(|r| matches!(
+            r.kind,
+            TraceKind::FlitNacked {
+                lob_requested: true,
                 ..
             }
-        )
-    });
-    assert!(obf_launch, "{trace:#?}");
-    // ...and the final crossing decoded clean.
-    let last_delivery = trace
+        )),
+        "{journey:#?}"
+    );
+    assert!(obfuscated_launch(&journey), "{journey:#?}");
+    // ...and the final crossing was accepted without an ECC event.
+    let last_launch = journey
         .iter()
-        .rev()
-        .find_map(|e| match e {
-            TraceEvent::Delivered { outcome, .. } => Some(*outcome),
-            _ => None,
-        })
-        .expect("delivered at least once");
-    assert_eq!(last_delivery, TraceOutcome::Clean);
-    // Events are in nondecreasing cycle order.
-    let cycles: Vec<u64> = trace
+        .rposition(|r| matches!(r.kind, TraceKind::FlitLaunched { .. }))
+        .expect("launched at least once");
+    let crossing: Vec<_> = journey[last_launch + 1..]
         .iter()
-        .map(|e| match e {
-            TraceEvent::Injected { cycle, .. }
-            | TraceEvent::Launched { cycle, .. }
-            | TraceEvent::Delivered { cycle, .. }
-            | TraceEvent::Ejected { cycle, .. } => *cycle,
-        })
+        .map(|r| r.kind.label())
         .collect();
-    assert!(cycles.windows(2).all(|w| w[0] <= w[1]));
+    assert_eq!(crossing, ["flit_accepted", "flit_ejected"], "{journey:#?}");
+    // Records are in nondecreasing cycle order.
+    assert!(journey.windows(2).all(|w| w[0].cycle <= w[1].cycle));
 }
 
 #[test]
 fn unprotected_trace_shows_endless_nacks_and_no_ejection() {
     let pid = PacketId(78);
-    let mut sim = traced_sim(false, pid);
-    let mut src = One(Some(Packet::new(
-        pid,
-        NodeId(0),
-        NodeId(1),
-        VcId(0),
-        0,
-        0,
-        1,
-        0,
-    )));
-    assert!(!sim.run_to_quiescence(600, &mut src), "must starve");
-    let trace = sim.trace();
+    let mut sim = traced_sim(false);
     assert!(
-        !trace
+        !sim.run_to_quiescence(600, &mut victim(pid, 1, 1)),
+        "must starve"
+    );
+    let journey = sim.packet_history(pid);
+    assert!(
+        !journey
             .iter()
-            .any(|e| matches!(e, TraceEvent::Ejected { .. })),
+            .any(|r| matches!(r.kind, TraceKind::FlitEjected { .. })),
         "the victim never arrives"
     );
-    let nacks = trace
-        .iter()
-        .filter(|e| {
-            matches!(
-                e,
-                TraceEvent::Delivered {
-                    outcome: TraceOutcome::Nacked { .. },
-                    ..
-                }
-            )
-        })
-        .count();
-    assert!(nacks > 20, "NACK livelock expected, saw {nacks}");
+    let n = nacks(&journey);
+    assert!(n > 20, "NACK livelock expected, saw {n}");
     // No launch ever carried an obfuscation plan (mitigation off).
-    assert!(trace.iter().all(|e| !matches!(
-        e,
-        TraceEvent::Launched {
-            obfuscated: Some(_),
-            ..
-        }
-    )));
+    assert!(!obfuscated_launch(&journey));
 }
 
 #[test]
 fn untraced_runs_record_nothing() {
-    let mut cfg = SimConfig::paper();
-    cfg.trace_packet = None;
-    let mut sim = Simulator::new(cfg);
-    let mut src = One(Some(Packet::new(
-        PacketId(1),
-        NodeId(0),
-        NodeId(5),
-        VcId(0),
-        0,
-        0,
-        2,
-        0,
-    )));
-    assert!(sim.run_to_quiescence(500, &mut src));
-    assert!(sim.trace().is_empty());
+    let mut sim = Simulator::new(SimConfig::paper());
+    assert!(sim.run_to_quiescence(500, &mut victim(PacketId(1), 5, 2)));
+    assert!(sim.tracer().is_none());
+    assert!(sim.packet_history(PacketId(1)).is_empty());
 }

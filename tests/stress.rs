@@ -39,11 +39,7 @@ fn stress_one(seed: u64) {
         _ => TargetSpec::mem_range(0x1000_0000..=0x1FFF_FFFF),
     };
     let ht = TaspHt::new(TaspConfig::new(target));
-    let faults = std::mem::replace(
-        sim.link_faults_mut(trojan_link),
-        htnoc::sim::fault::LinkFaults::healthy(seed),
-    );
-    *sim.link_faults_mut(trojan_link) = faults.with_trojan(ht);
+    sim.link_faults_mut(trojan_link).trojan = Some(ht);
     if mix(seed, 7).is_multiple_of(2) {
         sim.arm_trojans(true);
     }
@@ -103,11 +99,7 @@ fn invariants_hold_through_a_full_dos_collapse() {
     let mut sim = Simulator::new(cfg);
     let link = mesh.link_out(NodeId(4), Direction::South).unwrap();
     let ht = TaspHt::new(TaspConfig::new(TargetSpec::dest(0)));
-    let faults = std::mem::replace(
-        sim.link_faults_mut(link),
-        htnoc::sim::fault::LinkFaults::healthy(0),
-    );
-    *sim.link_faults_mut(link) = faults.with_trojan(ht);
+    sim.link_faults_mut(link).trojan = Some(ht);
     sim.arm_trojans(true);
     let mut traffic =
         SyntheticTraffic::new(mesh, Pattern::Hotspot(vec![NodeId(0)]), 0.03, 5).until(1500);
