@@ -24,9 +24,10 @@
 //! under periodic crash-safe checkpointing instead: the full simulator
 //! state (plus traffic cursor and stall log) is snapshotted every
 //! `--checkpoint-every` cycles, and `--resume` continues from the newest
-//! valid checkpoint — bit-identically to an uninterrupted run. `--halt-at`
-//! simulates a crash at a given cycle (used by the kill-and-resume CI
-//! job alongside a real SIGKILL).
+//! valid checkpoint — bit-identically to an uninterrupted run. Without
+//! `--resume`, a directory that already holds checkpoints is refused
+//! (exit 2) and left untouched. `--halt-at` simulates a crash at a given
+//! cycle (used by the kill-and-resume CI job alongside a real SIGKILL).
 //!
 //! With `--telemetry-out DIR`, the clean uniform baseline and the
 //! trojan flood re-run with the side-band telemetry plane armed:

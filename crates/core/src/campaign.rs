@@ -467,12 +467,11 @@ pub fn trojan_flood_threads(seed: u64, threads: usize) -> (ScenarioReport, Simul
 }
 
 /// [`trojan_flood`] with the side-band telemetry plane armed
-/// ([`noc_sim::Telemetry`]): engine self-profiling, latency/retx
-/// sketches, and the default alert rules run alongside the attack. The
-/// zero-perturbation suite pins that the returned report (and the full
-/// statistics) are bit-identical to the telemetry-off run at every
-/// thread count; the alert suite pins that the flood raises at least one
-/// alert *before* the watchdog trips.
+/// ([`noc_sim::Telemetry`]): engine self-profiling and the default alert
+/// rules run alongside the attack. The zero-perturbation suite pins
+/// that the returned report (and the full statistics) are bit-identical
+/// to the telemetry-off run at every thread count; the alert suite pins
+/// that the flood raises at least one alert *before* the watchdog trips.
 pub fn trojan_flood_telemetry(seed: u64, threads: usize) -> (ScenarioReport, Simulator) {
     trojan_flood_run(seed, None, None, threads, true, None)
 }
@@ -696,8 +695,9 @@ impl std::error::Error for CheckpointError {}
 /// Returns `Ok(None)` when `opts.halt_at` stopped the run mid-flight (the
 /// simulated crash); otherwise the report, which matches
 /// [`trojan_flood`] for the same seed exactly. An unreadable checkpoint
-/// directory, a failed save, or a newest checkpoint whose stall log or
-/// traffic cursor does not decode is a [`CheckpointError`].
+/// directory, a failed save, a newest checkpoint whose stall log or
+/// traffic cursor does not decode, or (without `opts.resume`) a
+/// directory that already holds checkpoints is a [`CheckpointError`].
 pub fn trojan_flood_checkpointed(
     seed: u64,
     opts: &CheckpointOpts,
@@ -745,6 +745,13 @@ pub fn trojan_flood_checkpointed(
                 .and_then(|()| traffic.load_cursor(&mut ud))
                 .and_then(|()| ud.finish())
                 .map_err(|error| CheckpointError { path, error })?;
+        }
+    } else {
+        // A fresh run's saves would rotate out or overwrite another
+        // run's checkpoints, and a later resume would continue that run.
+        let checkpoints = ck.files().map_err(in_dir)?.len();
+        if checkpoints > 0 {
+            return Err(in_dir(SnapshotError::DirInUse { checkpoints }));
         }
     }
 

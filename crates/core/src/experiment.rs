@@ -56,19 +56,6 @@ pub fn run_scenario(sc: &Scenario) -> RunResult {
     finish(sim)
 }
 
-/// Run a scenario whose trojans are never armed (clean baselines).
-pub fn run_scenario_unarmed(sc: &Scenario) -> RunResult {
-    let mut sim = sc.build_sim();
-    let mut traffic = sc.build_traffic(sim.mesh());
-    while sim.cycle() < sc.max_cycles {
-        sim.step(traffic.as_mut());
-        if traffic.done() && sim.is_quiescent() {
-            break;
-        }
-    }
-    finish(sim)
-}
-
 fn finish(mut sim: Simulator) -> RunResult {
     let drained = sim.is_quiescent();
     let cycles = sim.cycle();

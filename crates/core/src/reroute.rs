@@ -30,48 +30,10 @@ pub fn apply_reroute(sim: &mut Simulator, dead: &[LinkId]) -> bool {
     true
 }
 
-/// Average hop inflation caused by avoiding `dead` links: mean shortest
-/// path with detours over mean Manhattan distance, across all pairs.
-pub fn hop_inflation(mesh: &Mesh, dead: &[LinkId]) -> Option<f64> {
-    let tables = routes_avoiding(mesh, dead)?;
-    let mut base = 0u64;
-    let mut detour = 0u64;
-    for s in 0..mesh.routers() {
-        for d in 0..mesh.routers() {
-            if s == d {
-                continue;
-            }
-            let s = noc_types::NodeId(s as u16);
-            let d = noc_types::NodeId(d as u16);
-            base += mesh.hop_distance(s, d) as u64;
-            detour += tables.path_len(mesh, s, d)? as u64;
-        }
-    }
-    Some(detour as f64 / base as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use noc_types::{Direction, NodeId};
-
-    #[test]
-    fn no_dead_links_means_no_inflation() {
-        let mesh = Mesh::paper();
-        assert_eq!(hop_inflation(&mesh, &[]), Some(1.0));
-    }
-
-    #[test]
-    fn dead_links_inflate_paths() {
-        let mesh = Mesh::paper();
-        let dead = vec![
-            mesh.link_out(NodeId(5), Direction::East).unwrap(),
-            mesh.link_out(NodeId(6), Direction::North).unwrap(),
-        ];
-        let inflation = hop_inflation(&mesh, &dead).unwrap();
-        assert!(inflation > 1.0, "{inflation}");
-        assert!(inflation < 1.5, "two links cannot devastate a 4×4 mesh");
-    }
 
     #[test]
     fn disconnection_is_detected() {
@@ -79,7 +41,6 @@ mod tests {
         let mesh = Mesh::new(2, 1, 1);
         let dead: Vec<LinkId> = mesh.all_links().collect();
         assert!(routes_avoiding(&mesh, &dead).is_none());
-        assert!(hop_inflation(&mesh, &dead).is_none());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! link-utilisation picture of Fig. 1(b)/(c), rendered as text grids so
 //! examples and the CLI can show *where* an attack is biting.
 
-use noc_sim::{MetricsRegistry, Snapshot};
+use noc_sim::MetricsRegistry;
 use noc_types::{Coord, Direction, Mesh, NodeId};
 
 /// Map an intensity in `[0, 1]` to a heat glyph.
@@ -98,17 +98,6 @@ pub fn retx_heatmap(mesh: &Mesh, metrics: &MetricsRegistry) -> String {
     link_grid(mesh, &shares)
 }
 
-/// Render per-router ejected-flit load from the metrics registry.
-pub fn ejection_heatmap(mesh: &Mesh, metrics: &MetricsRegistry) -> String {
-    let values: Vec<f64> = metrics
-        .routers()
-        .iter()
-        .map(|r| r.ejected_flits.get() as f64)
-        .collect();
-    let peak = values.iter().cloned().fold(0.0f64, f64::max);
-    router_grid(mesh, &values, peak)
-}
-
 /// Human-readable per-link metrics table, hottest (most retransmitted)
 /// links first; links with no traffic are omitted. `top` caps the rows.
 pub fn link_metrics_table(metrics: &MetricsRegistry, elapsed: u64, top: usize) -> String {
@@ -137,19 +126,6 @@ pub fn link_metrics_table(metrics: &MetricsRegistry, elapsed: u64, top: usize) -
         ));
     }
     out
-}
-
-/// Summarise one snapshot as a one-line status string.
-pub fn snapshot_line(s: &Snapshot) -> String {
-    format!(
-        "cycle {:>6}  in {:>4}  out {:>4}  inj {:>6}  blocked {:>2}/16  dead {:>2}/16",
-        s.cycle,
-        s.input_util,
-        s.output_util,
-        s.injection_util,
-        s.routers_blocked_port,
-        s.routers_half_cores_full
-    )
 }
 
 #[cfg(test)]
@@ -211,27 +187,5 @@ mod tests {
         // half intensity ('='), every other link stays blank.
         let map = retx_heatmap(&mesh, &m);
         assert!(map.contains("(0)==(1)"), "hot link rendered:\n{map}");
-        let ej = ejection_heatmap(&mesh, &m);
-        assert_eq!(ej.lines().count(), 4);
-    }
-
-    #[test]
-    fn snapshot_line_contains_all_series() {
-        let s = Snapshot {
-            cycle: 42,
-            input_util: 1,
-            output_util: 2,
-            injection_util: 3,
-            routers_all_cores_full: 0,
-            routers_half_cores_full: 5,
-            routers_blocked_port: 6,
-            delivered_flits: 0,
-            retransmissions: 0,
-            uncorrectable_faults: 0,
-        };
-        let line = snapshot_line(&s);
-        for needle in ["42", "blocked  6/16", "dead  5/16"] {
-            assert!(line.contains(needle), "{line}");
-        }
     }
 }

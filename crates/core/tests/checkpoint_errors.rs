@@ -1,8 +1,9 @@
 //! The checkpointed campaign fails typed: a checkpoint directory it
-//! cannot use, a newest checkpoint whose driver records do not decode, or
-//! one written under another snapshot format version ends the `campaign`
-//! binary with exit status 2 and a message naming the path, never a
-//! panic.
+//! cannot use, a fresh run into a directory that already holds
+//! checkpoints, a newest checkpoint whose driver records do not decode,
+//! or one written under another snapshot format version ends the
+//! `campaign` binary with exit status 2 and a message naming the path,
+//! never a panic.
 
 use noc_sim::snapshot::{open_frame, seal_frame};
 use noc_sim::{SimSnapshot, SNAPSHOT_VERSION};
@@ -101,5 +102,37 @@ fn a_checkpoint_from_another_format_version_exits_2() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     let version = format!("snapshot version {}", SNAPSHOT_VERSION - 1);
     assert!(stderr.contains(&version), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every regular file directly in `dir`, by name, with its bytes.
+fn files_in(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .expect("checkpoint dir")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.is_file())
+        .map(|p| {
+            let bytes = std::fs::read(&p).expect("file reads");
+            (p, bytes)
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn a_fresh_run_into_a_used_checkpoint_dir_exits_2_and_touches_nothing() {
+    let dir = scratch_dir("used");
+    halt_at_700(&dir);
+    let before = files_in(&dir);
+    // Another seed, no --resume: its saves would prune and overwrite the
+    // first run's checkpoints, and a later --resume would mix the two.
+    let out = campaign(&[&["2"][..], &ckpt_args(&dir)[..], &["--halt-at", "1000"]].concat());
+    assert_exit_2_naming(&out, &dir);
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("already holds"),
+        "{out:?}"
+    );
+    assert_eq!(files_in(&dir), before, "no checkpoint written or pruned");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -10,11 +10,14 @@
 //!   *before* the watchdog trips (online detection beats the post-mortem
 //!   diagnosis), while the clean uniform baseline stays alert-free.
 //! * **Prometheus export** — a real run's exposition parses under the
-//!   strict parser and carries the alert/watchdog ordering.
+//!   strict parser, carries the alert/watchdog ordering, and prints the
+//!   same latency quantiles, attempt p99 and skipped cycles the
+//!   simulator's own counters hold.
 
 use htnoc_core::campaign::{
     baseline_telemetry, trojan_flood_telemetry, trojan_flood_threads, CAMPAIGN_SEED,
 };
+use noc_sim::metrics::PowHistogram;
 use noc_sim::{parse_prometheus, prom_value, AlertClass};
 use proptest::prelude::*;
 
@@ -143,6 +146,37 @@ fn prometheus_export_of_a_real_run_parses_strictly() {
             .expect("class label");
         assert!(AlertClass::from_label(label).is_some(), "{label}");
     }
+    // One number per quantity: the exposition reads the simulator's own
+    // counters, so it prints exactly what the reports print.
+    let quantile = |q: &str| {
+        samples
+            .iter()
+            .find(|s| {
+                s.name == "noc_latency_cycles"
+                    && s.labels.iter().any(|(k, v)| k == "quantile" && v == q)
+            })
+            .map(|s| s.value)
+    };
+    for (q, label) in [(0.5, "0.5"), (0.9, "0.9"), (0.99, "0.99"), (0.999, "0.999")] {
+        assert_eq!(
+            quantile(label),
+            Some(sim.stats().latency_percentile(q) as f64),
+            "latency quantile {label}"
+        );
+    }
+    let mut attempts = PowHistogram::default();
+    for link in sim.metrics().links() {
+        attempts.merge(&link.delivery_attempts);
+    }
+    assert!(attempts.count() > 0);
+    assert_eq!(
+        prom_value(&samples, "noc_retx_attempts_p99"),
+        Some(attempts.quantile(0.99) as f64)
+    );
+    assert_eq!(
+        prom_value(&samples, "noc_cycles_skipped_total"),
+        Some(sim.skipped_cycles() as f64)
+    );
 }
 
 #[test]

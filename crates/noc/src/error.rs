@@ -1,7 +1,6 @@
 //! Typed simulation errors.
 //!
 //! The guarded execution APIs ([`crate::Simulator::try_step`],
-//! [`crate::Simulator::run_guarded`],
 //! [`crate::Simulator::run_to_quiescence_guarded`]) return these instead
 //! of panicking or silently spinning, so campaign drivers can distinguish
 //! "the network stalled" from "the simulator's own state is corrupt" from

@@ -67,8 +67,8 @@ pub use snapshot::{
 pub use stats::{SimStats, Snapshot};
 pub use telemetry::{
     default_rules, parse_prometheus, prom_value, prometheus_text, AlertClass, AlertEngine,
-    AlertRecord, AlertRule, EngineHeartbeat, Heartbeat, PromSample, QuantileSketch, Telemetry,
-    TelemetryConfig, TelemetryOut, WindowObs,
+    AlertRecord, AlertRule, EngineHeartbeat, Heartbeat, PromSample, Telemetry, TelemetryConfig,
+    TelemetryOut, WindowObs,
 };
 pub use trace::{ChannelSink, JsonlSink, Record, TraceKind, TraceRecorder, TraceSink};
 pub use watchdog::{StallKind, StallReport, WatchdogConfig};

@@ -85,6 +85,22 @@ impl PowHistogram {
     pub fn buckets(&self) -> &[u64; 16] {
         &self.buckets
     }
+
+    /// Approximate `q`-quantile (0.0–1.0), by the same within-bucket
+    /// interpolation as
+    /// [`SimStats::latency_percentile`](crate::stats::SimStats::latency_percentile).
+    pub fn quantile(&self, q: f64) -> u64 {
+        crate::stats::pow2_quantile(&self.buckets, self.count, self.max, q)
+    }
+
+    /// Add another histogram's samples to this one.
+    pub fn merge(&mut self, other: &PowHistogram) {
+        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
+            *a += b;
+        }
+        self.count += other.count;
+        self.max = self.max.max(other.max);
+    }
 }
 
 /// Everything measured about one unidirectional link.
@@ -187,6 +203,15 @@ impl MetricsRegistry {
         &self.routers
     }
 
+    /// Launch attempts per acknowledged flit, summed over every link.
+    pub fn delivery_attempts(&self) -> PowHistogram {
+        let mut all = PowHistogram::default();
+        for l in &self.links {
+            all.merge(&l.delivery_attempts);
+        }
+        all
+    }
+
     /// Per-link flit counts (the shape the old `SimStats::link_flits`
     /// vector had), for the viz link-heatmap renderer.
     pub fn link_flits(&self) -> Vec<u64> {
@@ -276,6 +301,28 @@ mod tests {
         assert_eq!(h.buckets()[1], 2, "2 and 3 in [2,4)");
         assert_eq!(h.buckets()[2], 1);
         assert_eq!(h.buckets()[9], 1, "1000 in [512,1024)");
+        // Rank 6 of 6 is the only sample in [512, 1024): the bucket
+        // midpoint 768, which stays under the maximum.
+        assert_eq!(h.quantile(1.0), 768);
+        assert_eq!(h.quantile(0.5), 2, "rank 3 is the first of [2, 4)");
+    }
+
+    #[test]
+    fn registry_sums_delivery_attempts_over_links() {
+        let mut m = MetricsRegistry::new(3, 1);
+        m.link_mut(LinkId(0)).delivery_attempts.record(1);
+        m.link_mut(LinkId(2)).delivery_attempts.record(1);
+        m.link_mut(LinkId(2)).delivery_attempts.record(9);
+        let all = m.delivery_attempts();
+        assert_eq!(all.count(), 3);
+        assert_eq!(all.max(), 9);
+        assert_eq!(all.buckets()[0], 2);
+        assert_eq!(all.buckets()[3], 1, "9 in [8,16)");
+        assert_eq!(
+            all.quantile(0.99),
+            9,
+            "the [8,16) midpoint 12, capped at the max"
+        );
     }
 
     #[test]

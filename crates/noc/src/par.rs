@@ -267,15 +267,13 @@ pub(crate) struct ShardFx {
     pub p4_kinds: Vec<(u16, TraceKind)>,
     pub p5_ejections: Vec<(u16, Ejection)>,
     // Telemetry scratch, drained by `Telemetry::absorb_cycle` at commit.
-    // Strictly side-band: written only when `PhaseCtx::telemetry` is set
+    // Strictly side-band: written only when `PhaseCtx::profile` is set
     // and never read by any phase.
     /// Nanoseconds this shard spent per phase this cycle.
     pub tel_phase_ns: [u64; crate::telemetry::PHASE_COUNT],
     /// Timeline spans per barrier group this cycle: (start ns since the
     /// telemetry epoch, duration ns); (0, 0) when not sampled.
     pub tel_group_spans: [(u64, u64); crate::telemetry::GROUP_COUNT],
-    /// Launch attempts of flits acknowledged this cycle (sketch feed).
-    pub tel_retx_attempts: Vec<u64>,
 }
 
 /// Merge the `sel`-selected effect lists of all shards in ascending key
@@ -358,11 +356,8 @@ pub(crate) struct PhaseCtx<'a> {
     /// Whether the structured tracer is armed (`cfg.trace`): gates every
     /// `p*_kinds` push so the disabled path stays zero-cost.
     pub tracing: bool,
-    /// Whether the telemetry plane is armed: gates the deterministic
-    /// sketch feeds (e.g. retransmission-attempt counts).
-    pub telemetry: bool,
-    /// Whether this cycle's scoped phase timers run (sampled every
-    /// `profile_every` cycles; implies `telemetry`).
+    /// Whether this cycle's scoped phase timers run (the telemetry plane
+    /// is armed and samples this cycle, every `profile_every` cycles).
     pub profile: bool,
     /// Whether this cycle's engine timeline is being sampled (implies
     /// `profile`).
@@ -804,7 +799,6 @@ fn phase_acks_and_credits(ctx: &PhaseCtx<'_>, plan: &ShardPlan, fx: &mut ShardFx
         p3_kinds,
         p3_events,
         p3_quar,
-        tel_retx_attempts,
         ..
     } = fx;
     ctx.rev_set.for_each_set_in(plan.src_range.clone(), |pos| {
@@ -864,11 +858,6 @@ fn phase_acks_and_credits(ctx: &PhaseCtx<'_>, plan: &ShardPlan, fx: &mut ShardFx
                             .idx(li)
                             .delivery_attempts
                             .record(entry.attempts as u64);
-                        // Deterministic sketch feed: attempt counts are
-                        // simulation state, independent of sharding.
-                        if ctx.telemetry {
-                            tel_retx_attempts.push(entry.attempts as u64);
-                        }
                     }
                 }
                 AckKind::Nack { lob_attempt } => {

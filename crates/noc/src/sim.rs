@@ -464,13 +464,6 @@ impl Simulator {
         out.append(&mut self.events);
     }
 
-    /// Clear measurement counters (keep the time series): call after a
-    /// warm-up phase so averages reflect only the steady state.
-    pub fn reset_measurement(&mut self) {
-        self.stats.reset_measurement();
-        self.snap_base = (0, 0, 0);
-    }
-
     /// The per-link / per-router metrics registry.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
@@ -500,12 +493,13 @@ impl Simulator {
     }
 
     /// Arm the side-band telemetry plane (`noc::telemetry`): engine
-    /// self-profiling, streaming latency/retx sketches, and the alert
-    /// rules. Runtime-only by design — not part of `SimConfig`, so
+    /// self-profiling and the alert rules, whose first latency window
+    /// starts now. Runtime-only by design — not part of `SimConfig`, so
     /// arming it never changes the checkpoint config hash, and the
     /// zero-perturbation tests prove it never changes simulated state.
     pub fn set_telemetry(&mut self, cfg: crate::telemetry::TelemetryConfig) {
-        let tel = crate::telemetry::Telemetry::new(cfg);
+        let mut tel = crate::telemetry::Telemetry::new(cfg);
+        tel.rebase(&self.stats);
         self.epoch = tel.epoch;
         self.telemetry = Some(Box::new(tel));
     }
@@ -513,11 +507,6 @@ impl Simulator {
     /// The telemetry plane, when armed.
     pub fn telemetry(&self) -> Option<&crate::telemetry::Telemetry> {
         self.telemetry.as_deref()
-    }
-
-    /// Disarm and return the telemetry plane.
-    pub fn take_telemetry(&mut self) -> Option<Box<crate::telemetry::Telemetry>> {
-        self.telemetry.take()
     }
 
     /// Prometheus text exposition of the metrics registry, aggregate
@@ -528,6 +517,7 @@ impl Simulator {
             self.cycle,
             &self.stats,
             &self.metrics,
+            self.skipped_cycles,
             self.telemetry.as_deref(),
             labels,
         )
@@ -1065,21 +1055,6 @@ impl Simulator {
         let _ = snap.write_atomic(&path);
     }
 
-    /// Guarded version of [`Simulator::run`].
-    pub fn run_guarded(
-        &mut self,
-        cycles: u64,
-        source: &mut dyn TrafficSource,
-    ) -> Result<(), SimError> {
-        let deadline = self.cycle.saturating_add(cycles);
-        while self.cycle < deadline {
-            if self.skip_idle_cycles_guarded(deadline - self.cycle, source)? == 0 {
-                self.try_step(source)?;
-            }
-        }
-        Ok(())
-    }
-
     /// Guarded version of [`Simulator::run_to_quiescence`]: instead of
     /// silently spinning through a deadlock until the cycle budget dies,
     /// the watchdog converts the stall into a structured error.
@@ -1285,9 +1260,6 @@ impl Simulator {
             }
         }
         self.skipped_cycles += to - from;
-        if let Some(t) = self.telemetry.as_deref_mut() {
-            t.note_skipped(to - from);
-        }
         self.cycle = to;
         source.skip_to(to);
     }
@@ -1321,7 +1293,6 @@ impl Simulator {
             src_pos: &self.src_pos,
             src_order: &self.src_order,
             tracing: self.tracer.is_some(),
-            telemetry: self.telemetry.is_some(),
             profile: self.telemetry.as_ref().is_some_and(|t| t.profile_due(now)),
             timeline: self.telemetry.as_ref().is_some_and(|t| t.timeline_due(now)),
             epoch: self.epoch,
@@ -1425,11 +1396,7 @@ impl Simulator {
                 if ej.flit.kind.closes_packet() {
                     stats.delivered_packets += 1;
                     let born = birth.remove(&ej.flit.packet).unwrap_or(now);
-                    let latency = now.saturating_sub(born);
-                    stats.record_latency(latency);
-                    if let Some(t) = telemetry.as_deref_mut() {
-                        t.record_latency(latency);
-                    }
+                    stats.record_latency(now.saturating_sub(born));
                     events.push(SimEvent::PacketDelivered {
                         packet: ej.flit.packet,
                         src: ej.flit.header.src,
@@ -1446,10 +1413,11 @@ impl Simulator {
             *last_progress_cycle = now;
         }
         // Side-band engine profile: drained last, reads only wall-clock
-        // scratch plus simulation-derived integers already committed.
+        // scratch.
         if let Some(t) = telemetry.as_deref_mut() {
-            let profiled = t.profile_due(now);
-            t.absorb_cycle(now, profiled, fx);
+            if t.profile_due(now) {
+                t.absorb_cycle(now, fx);
+            }
         }
     }
 
@@ -1906,13 +1874,13 @@ impl Simulator {
             }
             let obs = crate::telemetry::WindowObs {
                 cycle: now,
-                p99_latency: None, // filled from the window sketch
+                p99_latency: None, // filled from the latency histogram
                 retransmissions: snap.retransmissions,
                 delivered_flits: snap.delivered_flits,
                 resident_flits: self.resident_flits() as u64,
                 max_credit_age,
             };
-            for alert in tel.evaluate_window(obs) {
+            for alert in tel.evaluate_window(obs, &self.stats) {
                 emit!(
                     self,
                     now,

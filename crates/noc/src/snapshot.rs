@@ -109,6 +109,13 @@ pub enum SnapshotError {
     },
     /// An I/O error while reading or writing the snapshot file.
     Io(String),
+    /// A fresh run was pointed at a checkpoint directory that already
+    /// holds checkpoints: its saves would rotate out, overwrite or be
+    /// resumed in place of that other run's files.
+    DirInUse {
+        /// Checkpoint files found in the directory.
+        checkpoints: usize,
+    },
 }
 
 impl std::fmt::Display for SnapshotError {
@@ -123,6 +130,11 @@ impl std::fmt::Display for SnapshotError {
                 "snapshot config hash {found:#018x} != simulator config hash {expected:#018x}"
             ),
             SnapshotError::Io(what) => write!(f, "snapshot io: {what}"),
+            SnapshotError::DirInUse { checkpoints } => write!(
+                f,
+                "already holds {checkpoints} checkpoint(s) of another run; \
+                 resume that run or choose an empty directory"
+            ),
         }
     }
 }
@@ -872,8 +884,7 @@ impl Checkpointer {
             .map_err(|e| SnapshotError::Io(format!("{}: {e}", self.dir.display())))?;
         let path = self.dir.join(format!("ckpt-{:012}.snap", snap.cycle()));
         snap.write_atomic(&path)?;
-        let mut files = self.checkpoint_files()?;
-        files.sort();
+        let mut files = self.files()?;
         while files.len() > self.keep {
             let victim = files.remove(0);
             let _ = std::fs::remove_file(victim);
@@ -890,13 +901,7 @@ impl Checkpointer {
     /// restart the run over it. Returns `Ok(None)` when the directory is
     /// missing or holds no valid checkpoint.
     pub fn load_latest(&self) -> Result<Option<(PathBuf, SimSnapshot)>, SnapshotError> {
-        let mut files = match self.checkpoint_files() {
-            Ok(files) => files,
-            Err(_) if !self.dir.exists() => return Ok(None),
-            Err(e) => return Err(e),
-        };
-        files.sort();
-        for path in files.into_iter().rev() {
+        for path in self.files()?.into_iter().rev() {
             match SimSnapshot::read(&path) {
                 Ok(snap) => return Ok(Some((path, snap))),
                 Err(e @ SnapshotError::VersionMismatch { .. }) => return Err(e),
@@ -906,9 +911,14 @@ impl Checkpointer {
         Ok(None)
     }
 
-    fn checkpoint_files(&self) -> Result<Vec<PathBuf>, SnapshotError> {
-        let entries = std::fs::read_dir(&self.dir)
-            .map_err(|e| SnapshotError::Io(format!("{}: {e}", self.dir.display())))?;
+    /// The checkpoint files in the directory, oldest first, sound or
+    /// not; none when the directory does not exist.
+    pub fn files(&self) -> Result<Vec<PathBuf>, SnapshotError> {
+        let entries = match std::fs::read_dir(&self.dir) {
+            Ok(entries) => entries,
+            Err(_) if !self.dir.exists() => return Ok(Vec::new()),
+            Err(e) => return Err(SnapshotError::Io(format!("{}: {e}", self.dir.display()))),
+        };
         let mut files = Vec::new();
         for entry in entries.flatten() {
             let path = entry.path();
@@ -1496,6 +1506,11 @@ impl Simulator {
         self.routing_epoch = self.routing_epoch.wrapping_add(1);
         self.inj_set.set_all();
         self.inj_blocked.fill(false);
+        // An armed telemetry plane is not simulation state; its next
+        // latency window starts at the restored histogram.
+        if let Some(t) = self.telemetry.as_deref_mut() {
+            t.rebase(&self.stats);
+        }
         // Re-planning also resets the router sets: all active, none
         // parked.
         let threads = self.plans.len().max(1);
@@ -1838,7 +1853,7 @@ mod tests {
             sim.run(40, &mut src);
             ck.save(&sim.snapshot()).unwrap();
         }
-        let files = ck.checkpoint_files().unwrap();
+        let files = ck.files().unwrap();
         assert_eq!(files.len(), 3, "{files:?}");
 
         let (_, latest) = ck.load_latest().unwrap().unwrap();

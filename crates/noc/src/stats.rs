@@ -106,49 +106,16 @@ impl SimStats {
     }
 
     /// Approximate latency percentile (0.0–1.0) from the power-of-two
-    /// histogram, interpolating *within* the winning bucket: the `k`-th
-    /// of `n` samples in bucket `[lo, lo + w)` is estimated at the
-    /// midpoint of its `1/n` slice, `lo + (2k − 1)·w / 2n`. The estimate
-    /// always lies inside the bucket that actually holds the ranked
-    /// sample (returning the bucket's upper bound, as this used to,
-    /// overstated tail latency by up to 2×) and is cross-checked against
-    /// [`crate::telemetry::QuantileSketch`] by property test. `q = 0.0`
-    /// asks for the minimum and returns the bucket's lower bound.
+    /// histogram, interpolating within the bucket that holds the ranked
+    /// packet and never above `latency_max`; `q = 0.0` gives the first
+    /// non-empty bucket's lower bound.
     pub fn latency_percentile(&self, q: f64) -> u64 {
-        assert!((0.0..=1.0).contains(&q));
-        if self.latency_samples == 0 {
-            return 0;
-        }
-        // Bucket 0 holds [0, 2); bucket i ≥ 1 holds [2^i, 2^(i+1)).
-        let bounds = |i: usize| -> (u64, u64) {
-            if i == 0 {
-                (0, 2)
-            } else {
-                (1u64 << i, 1u64 << i)
-            }
-        };
-        if q == 0.0 {
-            let first = self
-                .latency_histogram
-                .iter()
-                .position(|&c| c > 0)
-                .expect("samples exist");
-            return bounds(first).0;
-        }
-        let rank = (q * self.latency_samples as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &count) in self.latency_histogram.iter().enumerate() {
-            if seen + count >= rank {
-                let (lo, w) = bounds(i);
-                let k = rank - seen; // 1-based rank within this bucket
-                let est = lo + ((2 * k - 1) * w) / (2 * count);
-                // Never report past the observed maximum (the top bucket
-                // is usually mostly empty above it).
-                return est.min(self.latency_max);
-            }
-            seen += count;
-        }
-        self.latency_max
+        pow2_quantile(
+            &self.latency_histogram,
+            self.latency_samples,
+            self.latency_max,
+            q,
+        )
     }
 
     /// Flit conservation at quiescence: every injected flit was either
@@ -171,23 +138,56 @@ impl SimStats {
     pub fn accounted_flits(&self) -> u64 {
         self.delivered_flits + self.dropped_flits
     }
+}
 
-    /// Clear the measurement counters while keeping the configuration-free
-    /// time series — the standard warm-up discipline: run the warm-up,
-    /// reset, then measure the steady state.
-    pub fn reset_measurement(&mut self) {
-        let snapshots = std::mem::take(&mut self.snapshots);
-        *self = SimStats {
-            snapshots,
-            ..SimStats::default()
-        };
+/// The `q`-quantile (0.0–1.0) of `count` samples binned into power-of-two
+/// `buckets` (bucket 0 holds 0–1, bucket `i ≥ 1` holds `[2^i, 2^(i+1))`),
+/// interpolating *within* the winning bucket: the `k`-th of `n` samples
+/// in bucket `[lo, lo + w)` is estimated at the midpoint of its `1/n`
+/// slice, `lo + (2k − 1)·w / 2n`. The estimate always lies inside the
+/// bucket that actually holds the ranked sample and never exceeds `max`,
+/// an upper bound on every sample. `q = 0.0` asks for the minimum and
+/// returns the bucket's lower bound; no samples give 0.
+///
+/// The one quantile routine for the run's latency
+/// ([`SimStats::latency_percentile`]), the attempt histograms
+/// ([`crate::metrics::PowHistogram::quantile`]) and the telemetry alert
+/// window.
+pub(crate) fn pow2_quantile(buckets: &[u64], count: u64, max: u64, q: f64) -> u64 {
+    assert!((0.0..=1.0).contains(&q));
+    if count == 0 {
+        return 0;
     }
+    let bounds = |i: usize| -> (u64, u64) {
+        if i == 0 {
+            (0, 2)
+        } else {
+            (1u64 << i, 1u64 << i)
+        }
+    };
+    if q == 0.0 {
+        let first = buckets.iter().position(|&c| c > 0).expect("samples exist");
+        return bounds(first).0;
+    }
+    let rank = (q * count as f64).ceil().max(1.0) as u64;
+    let mut seen = 0;
+    for (i, &n) in buckets.iter().enumerate() {
+        if seen + n >= rank {
+            let (lo, w) = bounds(i);
+            let k = rank - seen; // 1-based rank within this bucket
+            let est = lo + ((2 * k - 1) * w) / (2 * n);
+            // Never report past the maximum (the top bucket is usually
+            // mostly empty above it).
+            return est.min(max);
+        }
+        seen += n;
+    }
+    max
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn percentile_interpolates_within_the_bucket() {
@@ -208,40 +208,6 @@ mod tests {
         let mut s = SimStats::default();
         s.record_latency(40); // bucket [32, 64), midpoint 48 > max 40
         assert_eq!(s.latency_percentile(0.99), 40);
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// The pow-2 histogram and `telemetry::QuantileSketch` rank the
-        /// same sample (same ceil-rank convention), so their estimates
-        /// differ only by bucketing: within a factor of ~2 of each other
-        /// (histogram buckets are octave-wide, sketch error is ≤ 1/32).
-        #[test]
-        fn percentile_tracks_the_telemetry_sketch(
-            seed in any::<u64>(),
-            n in 1usize..300,
-            qi in 0usize..4,
-        ) {
-            let q = [0.5, 0.9, 0.99, 1.0][qi];
-            let mut s = SimStats::default();
-            let mut sk = crate::telemetry::QuantileSketch::new();
-            let mut x = seed | 1;
-            for _ in 0..n {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                let v = x % 100_000;
-                s.record_latency(v);
-                sk.record(v);
-            }
-            let hist = s.latency_percentile(q);
-            let sketch = sk.quantile(q);
-            prop_assert!(
-                hist <= (11 * sketch) / 5 + 2 && sketch <= (11 * hist) / 5 + 2,
-                "histogram {hist} vs sketch {sketch} at q={q}"
-            );
-        }
     }
 
     #[test]
@@ -300,33 +266,6 @@ mod tests {
         let mut t = SimStats::default();
         t.record_latency(1);
         assert_eq!(t.latency_percentile(0.0), 0);
-    }
-
-    #[test]
-    fn reset_measurement_keeps_series_clears_counters() {
-        let mut s = SimStats {
-            injected_packets: 7,
-            retransmissions: 3,
-            snapshots: vec![Snapshot {
-                cycle: 5,
-                input_util: 1,
-                output_util: 0,
-                injection_util: 0,
-                routers_all_cores_full: 0,
-                routers_half_cores_full: 0,
-                routers_blocked_port: 0,
-                delivered_flits: 0,
-                retransmissions: 0,
-                uncorrectable_faults: 0,
-            }],
-            ..SimStats::default()
-        };
-        s.record_latency(12);
-        s.reset_measurement();
-        assert_eq!(s.injected_packets, 0);
-        assert_eq!(s.retransmissions, 0);
-        assert_eq!(s.latency_samples, 0);
-        assert_eq!(s.snapshots.len(), 1, "time series kept");
     }
 
     #[test]

@@ -1,18 +1,21 @@
-//! Side-band runtime telemetry: engine self-profiling, streaming
-//! quantile sketches, Prometheus exposition, health heartbeats, and an
-//! online alert-rule engine over the simulator's own counters.
+//! Side-band runtime telemetry: engine self-profiling, Prometheus
+//! exposition, health heartbeats, and an online alert-rule engine over
+//! the simulator's own counters.
 //!
 //! # Determinism contract
 //!
-//! Telemetry observes, it never steers. The plane splits into two halves
-//! with different guarantees:
+//! Telemetry observes, it never steers, and it keeps no second copy of a
+//! statistic the simulator already keeps: latency quantiles are
+//! [`SimStats::latency_percentile`], retransmission attempts come from
+//! the [`MetricsRegistry`]'s per-link histograms, and skipped cycles from
+//! the simulator. The plane splits into two halves with different
+//! guarantees:
 //!
-//! * **deterministic observers** — the latency and retransmission-attempt
-//!   [`QuantileSketch`]es and the [`AlertEngine`] consume only values the
-//!   simulation itself produces in committed deterministic order (packet
-//!   latencies at ejection commit, ACK attempt counts, per-interval
-//!   [`Snapshot`](crate::stats::Snapshot) deltas). Their contents are
-//!   bit-identical across thread counts and across runs.
+//! * **the deterministic observer** — the [`AlertEngine`] consumes only
+//!   per-interval [`Snapshot`](crate::stats::Snapshot) deltas and how far
+//!   the latency histogram grew since the previous window, all committed
+//!   in deterministic order. Its verdicts are bit-identical across
+//!   thread counts and across runs.
 //! * **wall-clock observers** — the per-phase timers, shard-imbalance
 //!   gauges, and engine timeline read `Instant::now()`. Their *output*
 //!   varies run to run, but nothing they measure ever feeds back into
@@ -26,21 +29,16 @@
 //!
 //! # Pieces
 //!
-//! * [`QuantileSketch`] — a mergeable DDSketch-style log-linear sketch
-//!   over `u64` samples, pure integer arithmetic (no float logs), with a
-//!   guaranteed relative rank error ≤ 1/64. Merging is element-wise
-//!   addition: associative, commutative, and therefore shard-order
-//!   independent.
 //! * [`Telemetry`] — the simulator-side aggregate: per-phase nanosecond
 //!   totals, per-barrier shard load gauges, a bounded engine
-//!   timeline exportable as Chrome `trace_event` JSON, the sketches, and
-//!   the alert engine.
+//!   timeline exportable as Chrome `trace_event` JSON, and the alert
+//!   engine with its latency-window base.
 //! * [`AlertRule`]/[`AlertEngine`] — declarative threshold rules
 //!   evaluated once per snapshot interval, emitting [`AlertRecord`]s
 //!   (also mirrored onto the trace bus as `TraceKind::Alert`).
 //! * [`prometheus_text`]/[`parse_prometheus`] — text-format exposition of
-//!   the metrics registry + telemetry gauges, and the strict parser CI
-//!   validates it with.
+//!   the metrics registry, the statistics and the telemetry gauges, and
+//!   the strict parser CI validates it with.
 //! * [`Heartbeat`]/[`TelemetryOut`] — the liveness record long-running
 //!   drivers append to disk (atomically) so a stuck run is diagnosable
 //!   from the filesystem.
@@ -51,186 +49,6 @@ use std::collections::VecDeque;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
-
-// ---------------------------------------------------------------------
-// Quantile sketch
-// ---------------------------------------------------------------------
-
-/// Log-linear sub-bucket resolution: 2^5 = 32 sub-buckets per octave.
-const SUB_BITS: u32 = 5;
-const SUBS: u64 = 1 << SUB_BITS;
-
-/// A mergeable streaming quantile sketch over `u64` samples (DDSketch
-/// family, pure integer arithmetic).
-///
-/// Values below 32 are stored exactly; larger values map to log-linear
-/// buckets — 32 per octave — whose midpoint representative is within
-/// `value / 64` of every sample in the bucket. Rank arithmetic is exact
-/// (every sample is counted), so `quantile(q)` returns a value whose
-/// relative error vs. the true q-th sample is at most 1/64.
-///
-/// Merging adds bucket counts element-wise, which is associative and
-/// commutative: merging per-shard sketches in any order yields the same
-/// sketch, the property the deterministic commit relies on.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct QuantileSketch {
-    zero: u64,
-    buckets: Vec<u64>,
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-fn sketch_index(v: u64) -> usize {
-    debug_assert!(v >= 1);
-    if v < SUBS {
-        v as usize
-    } else {
-        let e = 63 - v.leading_zeros() as u64;
-        let sub = (v >> (e - SUB_BITS as u64)) & (SUBS - 1);
-        (SUBS * (e - SUB_BITS as u64 + 1) + sub) as usize
-    }
-}
-
-fn sketch_value(i: usize) -> u64 {
-    if i < SUBS as usize {
-        i as u64
-    } else {
-        let e = (i as u64 / SUBS) + SUB_BITS as u64 - 1;
-        let sub = i as u64 % SUBS;
-        let width = 1u64 << (e - SUB_BITS as u64);
-        let lower = (1u64 << e) | (sub * width);
-        lower + width / 2
-    }
-}
-
-impl QuantileSketch {
-    /// An empty sketch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one sample.
-    pub fn record(&mut self, v: u64) {
-        if self.count == 0 {
-            self.min = v;
-            self.max = v;
-        } else {
-            self.min = self.min.min(v);
-            self.max = self.max.max(v);
-        }
-        self.count += 1;
-        self.sum = self.sum.wrapping_add(v);
-        if v == 0 {
-            self.zero += 1;
-        } else {
-            let i = sketch_index(v);
-            if self.buckets.len() <= i {
-                self.buckets.resize(i + 1, 0);
-            }
-            self.buckets[i] += 1;
-        }
-    }
-
-    /// Fold another sketch into this one (element-wise bucket addition).
-    pub fn merge(&mut self, other: &QuantileSketch) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            self.min = other.min;
-            self.max = other.max;
-        } else {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-        self.count += other.count;
-        self.sum = self.sum.wrapping_add(other.sum);
-        self.zero += other.zero;
-        if self.buckets.len() < other.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += *b;
-        }
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all samples (wrapping).
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Smallest sample (0 when empty).
-    pub fn min(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest sample (0 when empty).
-    pub fn max(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.max
-        }
-    }
-
-    /// Mean sample (0 when empty).
-    pub fn mean(&self) -> u64 {
-        self.sum.checked_div(self.count).unwrap_or(0)
-    }
-
-    /// Whether no samples have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Drop all samples, keeping the allocated bucket storage.
-    pub fn clear(&mut self) {
-        self.zero = 0;
-        self.buckets.iter_mut().for_each(|b| *b = 0);
-        self.count = 0;
-        self.sum = 0;
-        self.min = 0;
-        self.max = 0;
-    }
-
-    /// The q-th quantile (`0.0 ..= 1.0`) using the ceil-rank convention:
-    /// the returned value approximates the sample at 1-based rank
-    /// `ceil(q · count)` (clamped to `[1, count]`), with relative error
-    /// at most 1/64. `q = 0` returns the exact minimum; an empty sketch
-    /// returns 0.
-    pub fn quantile(&self, q: f64) -> u64 {
-        assert!((0.0..=1.0).contains(&q));
-        if self.count == 0 {
-            return 0;
-        }
-        if q == 0.0 {
-            return self.min;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = self.zero;
-        if seen >= rank {
-            return 0;
-        }
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return sketch_value(i).clamp(self.min, self.max);
-            }
-        }
-        self.max
-    }
-}
 
 // ---------------------------------------------------------------------
 // Engine phases and per-cycle profiling
@@ -671,8 +489,7 @@ pub struct TelemetryConfig {
     /// Sampling keeps the wall-clock reads off most cycles — on hosts
     /// with a slow clock source, timing every cycle costs several
     /// percent of throughput, which would bust the side-band budget.
-    /// The deterministic sketch feeds (latency, retransmission
-    /// attempts) and the alert rules always observe every cycle.
+    /// The alert rules always observe every snapshot window.
     pub profile_every: u64,
     /// Alert rules to evaluate each snapshot interval.
     pub rules: Vec<AlertRule>,
@@ -696,22 +513,14 @@ pub struct Telemetry {
     cfg: TelemetryConfig,
     /// Wall-clock origin for timeline offsets.
     pub(crate) epoch: Instant,
-    /// Cumulative end-to-end packet latency sketch.
-    pub latency: QuantileSketch,
-    /// Latencies completed since the last snapshot window.
-    latency_window: QuantileSketch,
-    /// Launch attempts per acknowledged flit (1 = clean delivery).
-    pub retx_attempts: QuantileSketch,
     phase_total_ns: [u64; PHASE_COUNT],
     group: [GroupLoad; GROUP_COUNT],
     timeline: Vec<TimelineSlice>,
     alerts: AlertEngine,
+    /// `SimStats::latency_histogram` at the previous alert window (or at
+    /// arming or restore): the window's latencies are the growth since.
+    window_base: [u64; 32],
     cycles_profiled: u64,
-    /// Cycles the fast-forward engine skipped (provably no-op, never
-    /// stepped). Simulated time still advances over them, so alert
-    /// windows and per-interval deltas are exact; only wall-clock
-    /// profiling samples are absent.
-    cycles_skipped: u64,
     first_watchdog_cycle: Option<u64>,
 }
 
@@ -722,28 +531,14 @@ impl Telemetry {
         Self {
             cfg,
             epoch: Instant::now(),
-            latency: QuantileSketch::new(),
-            latency_window: QuantileSketch::new(),
-            retx_attempts: QuantileSketch::new(),
             phase_total_ns: [0; PHASE_COUNT],
             group: [GroupLoad::default(); GROUP_COUNT],
             timeline: Vec::new(),
             alerts: AlertEngine::new(rules),
+            window_base: [0; 32],
             cycles_profiled: 0,
-            cycles_skipped: 0,
             first_watchdog_cycle: None,
         }
-    }
-
-    /// Account `n` fast-forwarded cycles (see `cycles_skipped`).
-    #[inline]
-    pub(crate) fn note_skipped(&mut self, n: u64) {
-        self.cycles_skipped += n;
-    }
-
-    /// Cycles the fast-forward engine skipped so far.
-    pub fn cycles_skipped(&self) -> u64 {
-        self.cycles_skipped
     }
 
     /// Whether the scoped phase timers should run on `cycle`. Timeline
@@ -762,34 +557,10 @@ impl Telemetry {
                 <= self.cfg.timeline_capacity
     }
 
-    /// Record one delivered packet's end-to-end latency (called at
-    /// ejection commit, in deterministic order).
-    #[inline]
-    pub(crate) fn record_latency(&mut self, latency: u64) {
-        self.latency.record(latency);
-        self.latency_window.record(latency);
-    }
-
-    /// Fold one cycle's per-shard timing scratch into the per-phase
-    /// totals, imbalance gauges, and timeline, and drain the
-    /// per-shard retransmission-attempt scratch into the global sketch.
-    /// Clears the scratch for the next cycle.
-    pub(crate) fn absorb_cycle(
-        &mut self,
-        cycle: u64,
-        profiled: bool,
-        fxs: &mut [crate::par::ShardFx],
-    ) {
-        // The deterministic sketch feeds drain every cycle; the timing
-        // aggregation below only runs on profiled (sampled) cycles.
-        for fx in fxs.iter_mut() {
-            for v in fx.tel_retx_attempts.drain(..) {
-                self.retx_attempts.record(v);
-            }
-        }
-        if !profiled {
-            return;
-        }
+    /// Fold one profiled cycle's per-shard timing scratch into the
+    /// per-phase totals, imbalance gauges, and timeline. Clears the
+    /// scratch for the next cycle.
+    pub(crate) fn absorb_cycle(&mut self, cycle: u64, fxs: &mut [crate::par::ShardFx]) {
         let nshards = fxs.len();
         self.cycles_profiled += 1;
         let mut phase_cycle_ns = [0u64; PHASE_COUNT];
@@ -849,15 +620,33 @@ impl Telemetry {
         self.first_watchdog_cycle
     }
 
-    /// Evaluate the alert rules against one snapshot window. The window
-    /// latency sketch is consumed (cleared) by the call.
-    pub(crate) fn evaluate_window(&mut self, mut obs: WindowObs) -> Vec<AlertRecord> {
-        obs.p99_latency = if self.latency_window.is_empty() {
-            None
-        } else {
-            Some(self.latency_window.quantile(0.99))
-        };
-        self.latency_window.clear();
+    /// Start the next latency window at `stats`' histogram: after every
+    /// window, and on arming and restore, so no window spans either.
+    pub(crate) fn rebase(&mut self, stats: &SimStats) {
+        self.window_base = stats.latency_histogram;
+    }
+
+    /// p99 latency of the packets delivered since the previous window,
+    /// read from how far `stats`' histogram grew past the window base;
+    /// `None` when no packet finished this window. The estimate is
+    /// capped at the run's largest latency, the one bound the histogram
+    /// keeps.
+    fn window_p99(&self, stats: &SimStats) -> Option<u64> {
+        let window: [u64; 32] =
+            std::array::from_fn(|i| stats.latency_histogram[i] - self.window_base[i]);
+        let count = window.iter().sum();
+        (count > 0).then(|| crate::stats::pow2_quantile(&window, count, stats.latency_max, 0.99))
+    }
+
+    /// Evaluate the alert rules against one snapshot window, filling in
+    /// its p99 latency from `stats`, and start the next window.
+    pub(crate) fn evaluate_window(
+        &mut self,
+        mut obs: WindowObs,
+        stats: &SimStats,
+    ) -> Vec<AlertRecord> {
+        obs.p99_latency = self.window_p99(stats);
+        self.rebase(stats);
         self.alerts.evaluate(&obs)
     }
 
@@ -1011,10 +800,14 @@ impl<'a> PromWriter<'a> {
 /// Render the metrics registry, aggregate statistics, and (when armed)
 /// telemetry gauges in Prometheus text exposition format. `labels` are
 /// attached to every sample (e.g. `[("scenario", "trojan_flood")]`).
+/// The armed families read `stats`, `metrics` and `skipped_cycles`
+/// (the fast-forwarded cycles), so every quantile printed here is the
+/// one the run's reports print.
 pub fn prometheus_text(
     cycle: u64,
     stats: &SimStats,
     metrics: &MetricsRegistry,
+    skipped_cycles: u64,
     telemetry: Option<&Telemetry>,
     labels: &[(&str, &str)],
 ) -> String {
@@ -1105,24 +898,24 @@ pub fn prometheus_text(
         w.family(
             "noc_latency_cycles",
             "gauge",
-            "End-to-end packet latency quantiles from the streaming sketch.",
+            "End-to-end packet latency quantiles from the power-of-two histogram.",
         );
         for (q, l) in [(0.5, "0.5"), (0.9, "0.9"), (0.99, "0.99"), (0.999, "0.999")] {
             w.sample(
                 "noc_latency_cycles",
                 Some(("quantile", l)),
-                tel.latency.quantile(q),
+                stats.latency_percentile(q),
             );
         }
         w.gauge(
             "noc_retx_attempts_p99",
             "p99 launch attempts per acknowledged flit.",
-            tel.retx_attempts.quantile(0.99),
+            metrics.delivery_attempts().quantile(0.99),
         );
         w.counter(
             "noc_cycles_skipped_total",
             "Cycles fast-forwarded by the quiescence engine.",
-            tel.cycles_skipped,
+            skipped_cycles,
         );
         w.family(
             "noc_phase_ns_total",
@@ -1548,117 +1341,6 @@ impl TelemetryOut {
 mod tests {
     use super::*;
 
-    fn exact_quantile(sorted: &[u64], q: f64) -> u64 {
-        let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-        sorted[rank - 1]
-    }
-
-    #[test]
-    fn sketch_is_exact_below_64() {
-        let mut s = QuantileSketch::new();
-        for v in 0..64u64 {
-            s.record(v);
-        }
-        assert_eq!(s.count(), 64);
-        assert_eq!(s.min(), 0);
-        assert_eq!(s.max(), 63);
-        for (i, v) in (0..64u64).enumerate() {
-            let q = (i as f64 + 1.0) / 64.0;
-            assert_eq!(s.quantile(q), v, "q={q}");
-        }
-    }
-
-    #[test]
-    fn sketch_rank_error_is_bounded() {
-        // Deterministic pseudo-random samples over 6 decades.
-        let mut x = 0x1234_5678_9abc_def0u64;
-        let mut samples: Vec<u64> = (0..10_000)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                x % 1_000_000
-            })
-            .collect();
-        let mut s = QuantileSketch::new();
-        for &v in &samples {
-            s.record(v);
-        }
-        samples.sort_unstable();
-        for q in [0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0] {
-            let exact = exact_quantile(&samples, q);
-            let got = s.quantile(q);
-            let err = got.abs_diff(exact);
-            assert!(
-                err <= exact / 32 + 1,
-                "q={q}: got {got}, exact {exact}, err {err}"
-            );
-        }
-        assert_eq!(s.quantile(0.0), samples[0]);
-    }
-
-    #[test]
-    fn sketch_merge_is_associative_and_commutative() {
-        let mk = |seed: u64, n: u64| {
-            let mut s = QuantileSketch::new();
-            let mut x = seed | 1;
-            for _ in 0..n {
-                x = x
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                s.record(x >> 40);
-            }
-            s
-        };
-        let (a, b, c) = (mk(1, 500), mk(2, 300), mk(3, 700));
-        let mut ab_c = a.clone();
-        ab_c.merge(&b);
-        ab_c.merge(&c);
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut a_bc = a.clone();
-        a_bc.merge(&bc);
-        assert_eq!(ab_c, a_bc, "associative");
-        let mut ba = b.clone();
-        ba.merge(&a);
-        let mut ab = a.clone();
-        ab.merge(&b);
-        assert_eq!(ab, ba, "commutative");
-        assert_eq!(ab_c.count(), 1500);
-    }
-
-    #[test]
-    fn sketch_merge_equals_recording_everything_in_one() {
-        let vals = [0u64, 1, 31, 32, 33, 1000, 65_535, 1 << 40];
-        let mut whole = QuantileSketch::new();
-        let mut left = QuantileSketch::new();
-        let mut right = QuantileSketch::new();
-        for (i, &v) in vals.iter().enumerate() {
-            whole.record(v);
-            if i % 2 == 0 {
-                left.record(v);
-            } else {
-                right.record(v);
-            }
-        }
-        left.merge(&right);
-        assert_eq!(left, whole);
-    }
-
-    #[test]
-    fn sketch_zero_and_empty_behave() {
-        let mut s = QuantileSketch::new();
-        assert_eq!(s.quantile(0.99), 0);
-        s.record(0);
-        s.record(0);
-        s.record(10);
-        assert_eq!(s.quantile(0.5), 0);
-        assert_eq!(s.quantile(1.0), 10);
-        s.clear();
-        assert!(s.is_empty());
-        assert_eq!(s.quantile(0.5), 0);
-    }
-
     #[test]
     fn group_load_imbalance_ratio() {
         let load = GroupLoad {
@@ -1815,19 +1497,23 @@ mod tests {
 
     #[test]
     fn prometheus_output_round_trips_through_strict_parser() {
-        let stats = SimStats {
+        let mut stats = SimStats {
             injected_flits: 10,
             delivered_flits: 8,
             ..SimStats::default()
         };
-        let metrics = MetricsRegistry::new(3, 2);
-        let mut tel = Telemetry::new(TelemetryConfig::default());
-        tel.record_latency(40);
-        tel.retx_attempts.record(3);
+        stats.record_latency(40);
+        let mut metrics = MetricsRegistry::new(3, 2);
+        metrics
+            .link_mut(noc_types::LinkId(1))
+            .delivery_attempts
+            .record(3);
+        let tel = Telemetry::new(TelemetryConfig::default());
         let text = prometheus_text(
             123,
             &stats,
             &metrics,
+            7,
             Some(&tel),
             &[("scenario", "unit \"q\" test")],
         );
@@ -1842,6 +1528,8 @@ mod tests {
             })
             .expect("latency quantile sample");
         assert_eq!(lat.value, 40.0);
+        assert_eq!(prom_value(&samples, "noc_retx_attempts_p99"), Some(3.0));
+        assert_eq!(prom_value(&samples, "noc_cycles_skipped_total"), Some(7.0));
         assert!(lat
             .labels
             .iter()
@@ -1901,7 +1589,7 @@ mod tests {
         assert!(out.due(100));
         let stats = SimStats::default();
         let metrics = MetricsRegistry::new(1, 1);
-        let text = prometheus_text(100, &stats, &metrics, None, &[]);
+        let text = prometheus_text(100, &stats, &metrics, 0, None, &[]);
         out.write_now(100, &text, None, 0).unwrap();
         out.write_now(250, &text, Some(50), 1).unwrap();
         let prom = std::fs::read_to_string(dir.join("metrics.prom")).unwrap();
@@ -1941,14 +1629,79 @@ mod tests {
         assert!(s.contains("\"pid\":3"));
     }
 
+    /// The window p99 reads only the packets delivered since the previous
+    /// window, and a restore starts the next window at the restored
+    /// histogram.
+    #[test]
+    fn window_p99_counts_only_packets_since_the_previous_window() {
+        use crate::config::SimConfig;
+        use crate::sim::{Simulator, TrafficSource};
+        use noc_types::{NodeId, Packet, PacketId, VcId};
+
+        let mut tel = Telemetry::new(TelemetryConfig::default());
+        let mut stats = SimStats::default();
+        for _ in 0..50 {
+            stats.record_latency(1000);
+        }
+        assert_eq!(tel.window_p99(&stats), Some(1000));
+        tel.evaluate_window(WindowObs::default(), &stats);
+        assert_eq!(tel.window_p99(&stats), None, "nothing finished since");
+        stats.record_latency(10);
+        // The one new packet, at the midpoint of [8, 16); the run's own
+        // p99 is still 1000.
+        assert_eq!(tel.window_p99(&stats), Some(12));
+        assert_eq!(stats.latency_percentile(0.99), 1000);
+
+        /// One single-flit packet from router 0 to router 5 per cycle.
+        struct Trickle;
+        impl TrafficSource for Trickle {
+            fn poll(&mut self, cycle: u64, out: &mut Vec<Packet>) {
+                let id = PacketId(cycle);
+                out.push(Packet::new(
+                    id,
+                    NodeId(0),
+                    NodeId(5),
+                    VcId(0),
+                    0,
+                    0,
+                    1,
+                    cycle,
+                ));
+            }
+        }
+        // `paper()` takes a snapshot, and so closes a window, every cycle.
+        let mut sim = Simulator::new(SimConfig::paper());
+        sim.set_telemetry(TelemetryConfig::default());
+        sim.run(100, &mut Trickle);
+        let early = sim.snapshot();
+        let early_hist = sim.stats().latency_histogram;
+        sim.run(100, &mut Trickle);
+        let base = |sim: &Simulator| sim.telemetry.as_deref().expect("armed").window_base;
+        assert_eq!(base(&sim), sim.stats().latency_histogram);
+        assert_ne!(
+            base(&sim),
+            early_hist,
+            "packets finished after the snapshot"
+        );
+        sim.restore(&early)
+            .expect("a simulator restores its own snapshot");
+        assert_eq!(base(&sim), early_hist, "restore resets the window base");
+        // The next windows read growth past the restored histogram.
+        sim.run(100, &mut Trickle);
+        assert_eq!(base(&sim), sim.stats().latency_histogram);
+    }
+
     #[test]
     fn engine_heartbeat_captures_alert_state() {
         let mut tel = Telemetry::new(TelemetryConfig::default());
-        let fired = tel.evaluate_window(WindowObs {
-            cycle: 70,
-            max_credit_age: 500,
-            ..WindowObs::default()
-        });
+        let fired = tel.evaluate_window(
+            WindowObs {
+                cycle: 70,
+                max_credit_age: 500,
+                ..WindowObs::default()
+            },
+            &SimStats::default(),
+        );
         assert_eq!(fired.len(), 1, "credit-stall rule fires");
         let hb = tel.engine_heartbeat(80);
         assert_eq!(hb.cycle, 80);
