@@ -1,6 +1,6 @@
 //! One criterion bench per paper table/figure: each measures the code path
 //! that regenerates it, at a reduced scale so `cargo bench` stays
-//! affordable. The full-scale prints come from the `src/bin/*` harnesses.
+//! affordable. The full-scale prints come from the `repro` driver.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use htnoc_core::prelude::*;

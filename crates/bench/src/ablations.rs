@@ -1,0 +1,366 @@
+//! The design-choice ablations of DESIGN.md §7: the payload FSM width,
+//! retransmission-buffer placement, the L-Ob ladder against each TASP
+//! comparator, the detector's escalation thresholds and the router
+//! buffer geometry.
+
+use crate::table::{f, write_table};
+use htnoc_core::prelude::*;
+use htnoc_core::sweep::par_map;
+use noc_mitigation::{DetectorConfig, LobPlan};
+use noc_power::{CellLibrary, TaspPower};
+use noc_trojan::{PayloadFsm, TargetKind, TargetSpec};
+use noc_types::{Header, NodeId, VcId};
+use std::collections::HashSet;
+
+/// Payload-counter width `Y`: camouflage (distinct fault locations
+/// before the pattern repeats) against the trojan's own area and idle
+/// leakage, its side-channel exposure while dormant.
+pub fn ablation_payload_fsm(out: &mut String) {
+    outln!(
+        out,
+        "=== Ablation — TASP payload FSM width (camouflage vs exposure) ===\n"
+    );
+    let mut rows = Vec::new();
+    for y in 1..=8u8 {
+        let mut fsm = PayloadFsm::new(y, 72);
+        let states = fsm.num_states();
+        let mut pairs = HashSet::new();
+        for _ in 0..states {
+            pairs.insert(fsm.inject());
+        }
+        let fixed = TaspPower::new(CellLibrary::tsmc40())
+            .with_y_bits(y as u32)
+            .fixed_block();
+        rows.push(vec![
+            y.to_string(),
+            states.to_string(),
+            pairs.len().to_string(),
+            f(fixed.area_um2, 1),
+            f(fixed.leakage_nw, 1),
+        ]);
+    }
+    write_table(
+        out,
+        &[
+            "Y bits",
+            "states",
+            "distinct wire pairs",
+            "area µm²",
+            "idle leak nW",
+        ],
+        &rows,
+    );
+    outln!(
+        out,
+        "\nLarger Y spreads faults over more wire pairs (harder to classify as\n\
+         a permanent fault) but costs area and idle leakage — the only\n\
+         side-channel visible while the trojan is dormant."
+    );
+}
+
+fn retx_run(scheme: RetxScheme, strategy: Strategy) -> (u64, bool) {
+    let app = AppSpec::blackscholes();
+    let infected = crate::fig10::infected_for(&app, 0.10, 3);
+    let mut sc = Scenario::paper_default(app, strategy).with_infected(infected);
+    sc.warmup = 300;
+    sc.inject_until = 1200;
+    sc.max_cycles = 30_000;
+    sc.snapshot_interval = 50;
+    // Compile the scenario, then override the retransmission scheme.
+    let mut cfg = sc.sim_config();
+    cfg.retx_scheme = scheme;
+    let mut sim = Simulator::new(cfg);
+    for link in &sc.infected {
+        let ht = TaspHt::new(TaspConfig::new(sc.target.clone()));
+        sim.link_faults_mut(*link).trojan = Some(ht);
+    }
+    let mut traffic = sc.build_traffic(sim.mesh());
+    sim.run(sc.warmup, traffic.as_mut());
+    sim.arm_trojans(true);
+    while sim.cycle() < sc.max_cycles {
+        sim.step(traffic.as_mut());
+        if traffic.done() && sim.is_quiescent() {
+            break;
+        }
+    }
+    (sim.cycle(), sim.is_quiescent())
+}
+
+/// Retransmission-buffer placement (shared at the output — the paper's
+/// worst case — versus per-VC) under the TASP attack with and without
+/// mitigation.
+pub fn ablation_retx_scheme(out: &mut String) {
+    outln!(out, "=== Ablation — retransmission buffer placement ===\n");
+    let mut rows = Vec::new();
+    for (scheme, name) in [
+        (RetxScheme::Output, "output (shared)"),
+        (RetxScheme::PerVc, "per-VC"),
+    ] {
+        for (strategy, sname) in [
+            (Strategy::S2sLob, "s2s L-Ob"),
+            (Strategy::Unprotected, "unprotected"),
+        ] {
+            let (cycles, drained) = retx_run(scheme, strategy);
+            rows.push(vec![
+                name.to_string(),
+                sname.to_string(),
+                if drained {
+                    format!("{cycles}")
+                } else {
+                    format!(">{cycles} (stalled)")
+                },
+            ]);
+        }
+    }
+    write_table(out, &["retx scheme", "defence", "completion cycles"], &rows);
+    outln!(
+        out,
+        "\nPlacement does not decide the outcome: unprotected, the shared output\n\
+         buffer (the paper's worst case) and per-VC slots both stall; with s2s\n\
+         L-Ob both drain, per-VC slots only marginally sooner."
+    );
+}
+
+fn spec_for(kind: TargetKind, h: &Header) -> TargetSpec {
+    use noc_trojan::FieldMatch::Exact;
+    match kind {
+        TargetKind::Full => TargetSpec {
+            src: Some(Exact((h.src.0 & 0xF) as u8)),
+            dest: Some(Exact((h.dest.0 & 0xF) as u8)),
+            vc: Some(Exact(h.vc.0)),
+            mem: Some(Exact(h.mem_addr)),
+        },
+        TargetKind::Dest => TargetSpec::dest((h.dest.0 & 0xF) as u8),
+        TargetKind::Src => TargetSpec::src((h.src.0 & 0xF) as u8),
+        TargetKind::DestSrc => TargetSpec::flow((h.src.0 & 0xF) as u8, (h.dest.0 & 0xF) as u8),
+        TargetKind::Mem => TargetSpec {
+            mem: Some(Exact(h.mem_addr)),
+            ..TargetSpec::default()
+        },
+        TargetKind::Vc => TargetSpec {
+            vc: Some(Exact(h.vc.0)),
+            ..TargetSpec::default()
+        },
+    }
+}
+
+/// Which L-Ob method defeats which TASP comparator, and at what undo
+/// penalty. A method "defeats" a target when the obfuscated wire word no
+/// longer matches the trojan's comparator.
+pub fn ablation_lob_methods(out: &mut String) {
+    outln!(
+        out,
+        "=== Ablation — L-Ob ladder methods vs TASP comparators ===\n"
+    );
+    // A representative header population; a method must hide every one.
+    let headers: Vec<Header> = (0..64u32)
+        .map(|i| Header {
+            src: NodeId((i % 16) as u16),
+            dest: NodeId(((i * 7) % 16) as u16),
+            vc: VcId((i % 4) as u8),
+            mem_addr: 0x1000_0000 | (i * 0x91),
+            thread: (i % 4) as u8,
+            len: 4,
+        })
+        .collect();
+    let mut rows = Vec::new();
+    for (rung, plan) in LobPlan::LADDER.iter().enumerate() {
+        let mut cols = vec![
+            format!("{rung}: {:?}/{:?}", plan.method, plan.granularity),
+            plan.method.undo_penalty().to_string(),
+        ];
+        for kind in TargetKind::ALL {
+            let defeated = headers.iter().all(|h| {
+                let spec = spec_for(kind, h);
+                let wire = plan.apply(h.pack(), 0xA5A5_5A5A_DEAD_BEEF);
+                !spec.matches_wire(wire)
+            });
+            cols.push(if defeated { "yes" } else { "NO" }.to_string());
+        }
+        rows.push(cols);
+    }
+    let headers_row = [
+        "ladder rung",
+        "penalty",
+        "Full",
+        "Dest",
+        "Src",
+        "Dest_Src",
+        "Mem",
+        "VC",
+    ];
+    write_table(out, &headers_row, &rows);
+    outln!(
+        out,
+        "\n`NO` marks residual exposure (e.g. a rotation that happens to map a\n\
+         field onto an identical value); the ladder escalates until a method\n\
+         crosses cleanly, and the success is logged per link."
+    );
+}
+
+fn thresholds_run(lob_threshold: u32, bist_threshold: u32) -> (u64, u64, u64, f64) {
+    let mesh = Mesh::paper();
+    let app = AppSpec::blackscholes();
+    let infected = crate::hottest_links(&app, 1);
+
+    let mut cfg = SimConfig::paper();
+    cfg.detector = DetectorConfig {
+        lob_threshold,
+        bist_threshold,
+        ..DetectorConfig::default()
+    };
+    cfg.snapshot_interval = 50;
+    let mut sim = Simulator::new(cfg);
+    for l in &infected {
+        let ht = TaspHt::new(TaspConfig::new(TargetSpec::dest(
+            (app.primary.0 & 0xF) as u8,
+        )));
+        sim.link_faults_mut(*l).trojan = Some(ht);
+    }
+    for l in mesh.all_links() {
+        sim.link_faults_mut(l).transient_bit_prob = 0.0001;
+    }
+    let mut traffic = AppModel::new(app, mesh, 9).until(1200);
+    sim.run(400, &mut traffic);
+    sim.arm_trojans(true);
+    sim.run_to_quiescence(20_000, &mut traffic);
+    let s = sim.stats();
+    (
+        s.retransmissions,
+        s.bist_scans,
+        s.delivered_packets,
+        s.avg_latency(),
+    )
+}
+
+/// Threat-detector escalation thresholds — how many faults on one flit
+/// before L-Ob engages (`lob_threshold`) and how many identical syndromes
+/// before BIST runs (`bist_threshold`) — under a single TASP and
+/// background transients on every link.
+pub fn ablation_detector_thresholds(out: &mut String) {
+    outln!(
+        out,
+        "=== Ablation — detector escalation thresholds (single TASP + background transients) ===\n"
+    );
+    let mut rows = Vec::new();
+    for lob in [1u32, 2, 3, 4] {
+        for bist in [2u32, 3] {
+            let (retx, bists, delivered, lat) = thresholds_run(lob, bist);
+            rows.push(vec![
+                lob.to_string(),
+                bist.to_string(),
+                retx.to_string(),
+                bists.to_string(),
+                delivered.to_string(),
+                f(lat, 1),
+            ]);
+        }
+    }
+    write_table(
+        out,
+        &[
+            "L-Ob after N faults",
+            "BIST after N repeats",
+            "retransmissions",
+            "BIST scans",
+            "delivered",
+            "avg latency",
+        ],
+        &rows,
+    );
+    outln!(
+        out,
+        "\nThe paper escalates on the second fault (threshold 2, Fig. 7 step g):\n\
+         threshold 1 obfuscates every transient (wasted undo penalties),\n\
+         large thresholds burn retransmission rounds before mitigation bites."
+    );
+}
+
+/// Remaps an application's VC pins onto a router with fewer VCs.
+struct ModVc<S>(S, u8);
+
+impl<S: noc_sim::TrafficSource> noc_sim::TrafficSource for ModVc<S> {
+    fn poll(&mut self, cycle: u64, out: &mut Vec<Packet>) {
+        let start = out.len();
+        self.0.poll(cycle, out);
+        for p in &mut out[start..] {
+            p.vc = VcId(p.vc.0 % self.1);
+        }
+    }
+    fn done(&self) -> bool {
+        self.0.done()
+    }
+}
+
+fn geometry_run(vcs: u8, vc_depth: u8, mitigation: bool) -> (f64, u64, bool) {
+    let mesh = Mesh::paper();
+    let app = AppSpec::blackscholes();
+    let infected = crate::hottest_links(&app, 1);
+    let mut cfg = if mitigation {
+        SimConfig::paper()
+    } else {
+        SimConfig::paper_unprotected()
+    };
+    cfg.vcs = vcs;
+    cfg.vc_depth = vc_depth;
+    cfg.snapshot_interval = 100;
+    let mut sim = Simulator::new(cfg);
+    for l in &infected {
+        let ht = TaspHt::new(TaspConfig::new(TargetSpec::dest(
+            (app.primary.0 & 0xF) as u8,
+        )));
+        sim.link_faults_mut(*l).trojan = Some(ht);
+    }
+    // The app pins VCs 0..4; with fewer VCs they are remapped by modulo.
+    let mut src = ModVc(AppModel::new(app, mesh, 9).until(800), vcs);
+    sim.run(200, &mut src);
+    sim.arm_trojans(true);
+    let drained = sim.run_to_quiescence(20_000, &mut src);
+    (
+        sim.stats().avg_latency(),
+        sim.stats().retransmissions,
+        drained,
+    )
+}
+
+/// Router buffer geometry (VCs per port × slots per VC) under the
+/// attacked workload, with and without mitigation. The paper fixes 4×4.
+pub fn ablation_buffer_geometry(out: &mut String) {
+    outln!(
+        out,
+        "=== Ablation — buffer geometry under a single mitigated TASP ===\n"
+    );
+    let grid: Vec<(u8, u8)> = vec![(2, 2), (2, 4), (4, 2), (4, 4), (4, 8), (8, 4)];
+    let results = par_map(grid, None, |(vcs, depth)| {
+        let with = geometry_run(vcs, depth, true);
+        let without = geometry_run(vcs, depth, false);
+        (vcs, depth, with, without)
+    });
+    let mut rows = Vec::new();
+    for (vcs, depth, with, without) in results {
+        rows.push(vec![
+            format!("{vcs}x{depth}"),
+            f(with.0, 1),
+            with.1.to_string(),
+            with.2.to_string(),
+            without.2.to_string(),
+        ]);
+    }
+    write_table(
+        out,
+        &[
+            "VCs x depth",
+            "latency (L-Ob)",
+            "retransmits",
+            "drains (L-Ob)",
+            "drains (unprot.)",
+        ],
+        &rows,
+    );
+    outln!(
+        out,
+        "\nMitigation effectiveness is geometry-independent (every L-Ob cell\n\
+         drains; every unprotected cell starves) — the defence does not lean\n\
+         on the paper's particular 4 VC x 4 slot choice."
+    );
+}

@@ -2,6 +2,7 @@
 //! 64-core NoC: (a) src×dest packet matrix, (b) per-source geographic
 //! totals, (c) per-link traffic shares.
 
+use crate::table::{pct, write_table};
 use htnoc_core::prelude::*;
 
 /// All three Fig. 1 views for one application model.
@@ -32,6 +33,64 @@ pub fn compute(app: AppSpec, cycles: u64, seed: u64) -> Fig1Data {
         source_totals,
         link_shares,
     }
+}
+
+/// Write Fig. 1's three views for Blackscholes over 5,000 sampled
+/// cycles.
+pub fn fig1_traffic(out: &mut String) {
+    let cycles = 5000;
+    let data = compute(AppSpec::blackscholes(), cycles, 7);
+    let mesh = Mesh::paper();
+
+    outln!(
+        out,
+        "=== Fig. 1 — {} traffic distributions ({} sampled cycles) ===\n",
+        data.app,
+        cycles
+    );
+
+    outln!(out, "(a) source × destination request packets:");
+    let headers: Vec<String> = std::iter::once("src\\dst".to_string())
+        .chain((0..16).map(|d| format!("{d}")))
+        .collect();
+    let hrefs: Vec<&str> = headers.iter().map(String::as_str).collect();
+    let rows: Vec<Vec<String>> = (0..16)
+        .map(|s| {
+            std::iter::once(format!("{s}"))
+                .chain((0..16).map(|d| data.matrix.counts[s][d].to_string()))
+                .collect()
+        })
+        .collect();
+    write_table(out, &hrefs, &rows);
+
+    outln!(out, "\n(b) per-source totals by mesh position (hot spots):");
+    for y in (0..4).rev() {
+        let row: Vec<String> = (0..4)
+            .map(|x| {
+                let n = mesh.node_at(noc_types::Coord::new(x, y));
+                format!("{:6}", data.source_totals[n.index()])
+            })
+            .collect();
+        outln!(out, "  y={y}  {}", row.join(" "));
+    }
+
+    outln!(
+        out,
+        "\n(c) per-link traffic share under XY routing (top 12):"
+    );
+    let hot = data.matrix.hottest_links_xy(&mesh, 12);
+    let rows: Vec<Vec<String>> = hot
+        .iter()
+        .map(|(l, share)| {
+            let (src, dir) = mesh.link_source(*l);
+            vec![
+                format!("link {}", l.0),
+                format!("{:?} {:?}", src, dir),
+                pct(*share),
+            ]
+        })
+        .collect();
+    write_table(out, &["link", "from / dir", "share"], &rows);
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
-//! Minimal fixed-width table printing for the harness binaries.
+//! Minimal fixed-width table writing for the experiments' text.
 
-/// Print a header row followed by data rows, all columns right-aligned to
-/// the widest cell.
-pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
+/// Write a header row followed by data rows into `out`, all columns
+/// right-aligned to the widest cell.
+pub fn write_table(out: &mut String, headers: &[&str], rows: &[Vec<String>]) {
     let cols = headers.len();
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
@@ -11,20 +11,19 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
             widths[i] = widths[i].max(cell.len());
         }
     }
-    let line = |cells: Vec<String>| {
-        let mut s = String::new();
+    let mut line = |cells: &[String]| {
         for (i, cell) in cells.iter().enumerate() {
             if i > 0 {
-                s.push_str("  ");
+                out.push_str("  ");
             }
-            s.push_str(&format!("{:>width$}", cell, width = widths[i]));
+            out.push_str(&format!("{:>width$}", cell, width = widths[i]));
         }
-        println!("{s}");
+        out.push('\n');
     };
-    line(headers.iter().map(|h| h.to_string()).collect());
-    line(widths.iter().map(|w| "-".repeat(*w)).collect());
+    line(&headers.iter().map(|h| h.to_string()).collect::<Vec<_>>());
+    line(&widths.iter().map(|w| "-".repeat(*w)).collect::<Vec<_>>());
     for row in rows {
-        line(row.clone());
+        line(row);
     }
 }
 
@@ -51,6 +50,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "ragged")]
     fn ragged_rows_rejected() {
-        print_table(&["a", "b"], &[vec!["1".into()]]);
+        write_table(&mut String::new(), &["a", "b"], &[vec!["1".into()]]);
     }
 }

@@ -37,7 +37,7 @@
 use crate::scenario::Scenario;
 use noc_ecc::Secded;
 use noc_sim::routing::{route_path, Routing};
-use noc_types::{Mesh, NodeId, PacketId, Topology};
+use noc_types::{Mesh, NodeId, Topology};
 
 /// Per-link bound on a monotone counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -367,11 +367,6 @@ pub fn xy_walk(mesh: &Mesh, src: NodeId, dest: NodeId) -> Vec<u16> {
         here = mesh.coord_of(node);
     }
     links
-}
-
-/// The id a delivered packet reports.
-pub fn packet_id(id: u64) -> PacketId {
-    PacketId(id)
 }
 
 #[cfg(test)]

@@ -100,58 +100,6 @@ where
         .collect()
 }
 
-/// Prometheus exposition for sweep progress (strict-parse compatible
-/// with [`noc_sim::parse_prometheus`]).
-fn sweep_prom(sweep: &str, done: u64, total: u64) -> String {
-    format!(
-        "# HELP sweep_items_completed Sweep items finished so far.\n\
-         # TYPE sweep_items_completed gauge\n\
-         sweep_items_completed{{sweep=\"{sweep}\"}} {done}\n\
-         # HELP sweep_items_total Sweep items in this run.\n\
-         # TYPE sweep_items_total gauge\n\
-         sweep_items_total{{sweep=\"{sweep}\"}} {total}\n"
-    )
-}
-
-/// [`par_map`] with sweep-progress telemetry: each finished item ticks a
-/// shared counter, and when an interval boundary passes, a Prometheus
-/// exposition (items completed / total, labelled `sweep`) plus a
-/// heartbeat record (whose `cycle` field counts items) land in `out`'s
-/// directory. The results are identical to [`par_map`] — telemetry is a
-/// side band off the work path (one mutex take per completed item).
-pub fn par_map_telemetry<T, R, F>(
-    items: Vec<T>,
-    threads: Option<usize>,
-    out: &mut noc_sim::TelemetryOut,
-    sweep: &str,
-    f: F,
-) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    use std::sync::atomic::AtomicU64;
-    use std::sync::Mutex;
-    let total = items.len() as u64;
-    let done = AtomicU64::new(0);
-    let shared = Mutex::new(&mut *out);
-    let (done_ref, shared_ref) = (&done, &shared);
-    let results = par_map(items, threads, |item| {
-        let r = f(item);
-        let n = done_ref.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut guard = shared_ref.lock().expect("telemetry writer lock");
-        if guard.due(n) {
-            // Progress IO must never fail the sweep itself.
-            let _ = guard.write_now(n, &sweep_prom(sweep, n, total), None, 0);
-        }
-        r
-    });
-    let n = done.load(Ordering::Relaxed);
-    let _ = out.write_now(n, &sweep_prom(sweep, n, total), None, 0);
-    results
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

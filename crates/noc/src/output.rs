@@ -338,23 +338,9 @@ impl OutputUnit {
         }
     }
 
-    /// Age (cycles) of the oldest entry still fighting for delivery; used
-    /// by the blocked-port statistic.
-    pub fn oldest_entry_age(&self, cycle: u64) -> Option<u64> {
-        self.entries
-            .iter()
-            .map(|e| cycle.saturating_sub(e.entered_at))
-            .max()
-    }
-
     /// Occupied retransmission slots (output-port utilisation statistic).
     pub fn occupancy(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Whether the buffer cannot admit any flit at all (fully stalled).
-    pub fn is_full(&self) -> bool {
-        self.entries.len() >= self.total_capacity()
     }
 }
 

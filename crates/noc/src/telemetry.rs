@@ -188,7 +188,9 @@ pub struct AlertRecord {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AlertRule {
     /// Fire when the per-window p99 end-to-end latency exceeds `cycles`
-    /// for `windows` consecutive snapshot intervals.
+    /// for `windows` consecutive snapshot intervals. Windows in which no
+    /// packet finished are skipped: they neither extend nor break the
+    /// streak.
     P99LatencyAbove {
         /// Latency ceiling in cycles.
         cycles: u64,
@@ -413,8 +415,13 @@ impl AlertEngine {
             // (condition-this-window, observed value, effective threshold)
             let (cond, value, threshold) = match rule {
                 AlertRule::P99LatencyAbove { cycles, .. } => {
-                    let p99 = obs.p99_latency.unwrap_or(0);
-                    (obs.p99_latency.is_some_and(|p| p > cycles), p99, cycles)
+                    // A window in which no packet finished says nothing
+                    // about latency: it leaves the streak and the rising
+                    // edge as they were.
+                    let Some(p99) = obs.p99_latency else {
+                        continue;
+                    };
+                    (p99 > cycles, p99, cycles)
                 }
                 AlertRule::RetxSurge {
                     factor_permille,
@@ -1381,8 +1388,18 @@ mod tests {
         assert_eq!(fired[0].class, AlertClass::P99Latency);
         assert_eq!(fired[0].value, 500);
         assert!(e.evaluate(&hot(30)).is_empty(), "held, no refire");
+        // A window in which no packet finished neither clears the
+        // condition nor restarts the streak.
+        let idle = |c| WindowObs {
+            p99_latency: None,
+            ..quiet_obs(c)
+        };
+        assert!(e.evaluate(&idle(35)).is_empty());
+        assert!(e.evaluate(&hot(36)).is_empty(), "still held across idle");
+        assert!(e.evaluate(&hot(37)).is_empty(), "still held across idle");
         assert!(e.evaluate(&quiet_obs(40)).is_empty());
         assert!(e.evaluate(&hot(50)).is_empty());
+        assert!(e.evaluate(&idle(55)).is_empty());
         assert_eq!(e.evaluate(&hot(60)).len(), 1, "re-fires after clearing");
         assert_eq!(e.fired_total(), 2);
         assert_eq!(e.first_alert_cycle(), Some(20));

@@ -198,29 +198,7 @@ fn cmd_list() {
     println!("applications: blackscholes facesim ferret fft");
     println!("strategies:   unprotected e2e tdm reroute lob");
     println!();
-    println!("figure harnesses (cargo run --release -p noc-bench --bin <name>):");
-    for b in [
-        "fig1_traffic",
-        "fig2_fault_latency",
-        "fig8_power_pies",
-        "fig9_target_area",
-        "fig10_speedup",
-        "fig11_backpressure",
-        "fig12_mitigation",
-        "table1_tasp_overhead",
-        "table2_mitigation_overhead",
-        "ablation_payload_fsm",
-        "ablation_retx_scheme",
-        "ablation_lob_methods",
-        "ablation_detector_thresholds",
-        "ablation_buffer_geometry",
-        "exp_flood_routing",
-        "exp_detectability",
-        "exp_multi_trojan",
-        "ext_migration",
-    ] {
-        println!("  {b}");
-    }
+    println!("paper experiments: cargo run --release -p noc-bench --bin repro  (lists them)");
 }
 
 fn main() {
