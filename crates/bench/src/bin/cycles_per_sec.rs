@@ -38,6 +38,7 @@
 //! Usage: `cargo run --release -p noc-bench --bin cycles_per_sec -- \
 //!     [--quick] [--gate] [--no-skip] [--threads 1,2,4,8] [--out PATH]`
 
+use noc_sim::json::Json;
 use noc_sim::routing::xy_direction;
 use noc_sim::telemetry::{GROUP_COUNT, GROUP_LABELS, PHASE_COUNT, PHASE_LABELS};
 use noc_sim::{SimConfig, SimSnapshot, Simulator, TelemetryConfig, TrafficSource};
@@ -534,18 +535,6 @@ fn json_scenario(out: &mut String, m: &Measurement, last: bool) {
     writeln!(out, "    }}{}", if last { "" } else { "," }).unwrap();
 }
 
-/// Extract `"key": <number>` from a flat JSON document. Good enough for
-/// the committed baseline file, whose shape this repo controls.
-fn json_number(doc: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = doc.find(&needle)? + needle.len();
-    let rest = doc[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -752,11 +741,13 @@ fn main() {
         env!("CARGO_MANIFEST_DIR"),
         "/baseline_throughput.json"
     ))
-    .ok();
-    let before = baseline_doc.as_deref().map(|doc| {
+    .ok()
+    .map(|text| Json::parse(&text).expect("baseline_throughput.json is JSON"));
+    let baseline_number = |doc: &Json, key: &str| doc.get(key).and_then(Json::as_f64);
+    let before = baseline_doc.as_ref().map(|doc| {
         (
-            json_number(doc, "before_baseline_cps"),
-            json_number(doc, "before_trojan_flood_cps"),
+            baseline_number(doc, "before_baseline_cps"),
+            baseline_number(doc, "before_trojan_flood_cps"),
         )
     });
 
@@ -854,7 +845,7 @@ fn main() {
             (&base, "gate_baseline_cps"),
             (&flood, "gate_trojan_flood_cps"),
         ] {
-            let floor = json_number(&doc, key).expect("gate value in baseline JSON");
+            let floor = baseline_number(&doc, key).expect("gate value in baseline JSON");
             let min = floor * 0.7;
             if m.cycles_per_sec < min {
                 eprintln!(
@@ -882,7 +873,7 @@ fn main() {
         all.extend(scaling.iter());
         for m in &all {
             let key = format!("gate_rss_{}_kb", m.name);
-            let Some(ceiling) = json_number(&doc, &key) else {
+            let Some(ceiling) = baseline_number(&doc, &key) else {
                 eprintln!("gate note: no RSS ceiling committed for {}", m.name);
                 continue;
             };
@@ -938,7 +929,7 @@ fn main() {
         // the recorded post-wavefront gain (~2.3×) and the floor, so
         // the check abstains when the host's A/A noise floor exceeds
         // that ~25% headroom.
-        if let Some(before8) = json_number(&doc, "before_trojan_flood_8x8_noskip_cps") {
+        if let Some(before8) = baseline_number(&doc, "before_trojan_flood_8x8_noskip_cps") {
             let floor = before8 * 1.8;
             if tel_noise_pct > 25.0 {
                 eprintln!(

@@ -17,11 +17,10 @@
 //! real simulator in lockstep with the oracle, comparing every epoch.
 //! [`scenario::Scenario::generate`] samples random scenarios from a seed;
 //! [`shrink::shrink`] reduces a failing scenario to a minimal reproducer
-//! that serializes to JSON (see [`json`]) for replay via the
+//! that serializes to JSON (see [`noc_sim::json`]) for replay via the
 //! `conformance_repro` binary.
 
 pub mod diff;
-pub mod json;
 pub mod oracle;
 pub mod scenario;
 pub mod shrink;

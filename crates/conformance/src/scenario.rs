@@ -5,12 +5,13 @@
 //! packet list (materialized up front from a `crates/traffic` generator
 //! or a uniform sampler, so replay needs no generator state), the trojan
 //! and fault campaign, and an optional deliberate [`Sabotage`]. Every
-//! scenario serializes to integer-only JSON (see [`crate::json`]) and
-//! replays bit-identically via the `conformance_repro` binary.
+//! scenario serializes to integer-only JSON (one [`noc_sim::json`] walk,
+//! [`Scenario`]'s `Fields` impl) and replays bit-identically via the
+//! `conformance_repro` binary.
 
-use crate::json::Json;
 use noc_sim::config::Sabotage;
 use noc_sim::fault::StuckWires;
+use noc_sim::json::{self, Codec, Fields, JsonError};
 use noc_sim::watchdog::WatchdogConfig;
 use noc_sim::{RetxScheme, SimConfig, Simulator, TrafficSource};
 use noc_traffic::{AppModel, AppSpec, Pattern, SyntheticTraffic, Trace};
@@ -25,7 +26,7 @@ pub const TOPOLOGY_TORUS: u8 = 1;
 pub const TOPOLOGY_DEGRADED: u8 = 2;
 
 /// One packet to inject.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PacketSpec {
     /// Scenario-unique packet id.
     pub id: u64,
@@ -60,7 +61,7 @@ impl PacketSpec {
 }
 
 /// A TASP hardware trojan mounted on one link.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TrojanSpec {
     /// The compromised link.
     pub link: u16,
@@ -73,7 +74,7 @@ pub struct TrojanSpec {
 }
 
 /// A single wire stuck at one on a link.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StuckSpec {
     /// The faulty link.
     pub link: u16,
@@ -82,7 +83,7 @@ pub struct StuckSpec {
 }
 
 /// A complete conformance scenario.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Scenario {
     /// Generator seed (provenance only; replay never consults it).
     pub seed: u64,
@@ -225,217 +226,16 @@ impl Scenario {
         ReplaySource { packets, next: 0 }
     }
 
-    // ------------------------------------------------------------------
-    // JSON round-trip
-    // ------------------------------------------------------------------
-
-    /// Serialize to the scenario JSON schema.
-    pub fn to_json(&self) -> Json {
-        let num = |n: u64| Json::Num(n as i64);
-        let packets = self
-            .packets
-            .iter()
-            .map(|p| {
-                Json::Obj(vec![
-                    ("id".into(), num(p.id)),
-                    ("src".into(), num(p.src as u64)),
-                    ("dest".into(), num(p.dest as u64)),
-                    ("vc".into(), num(p.vc as u64)),
-                    ("len".into(), num(p.len as u64)),
-                    ("at".into(), num(p.inject_at)),
-                    ("thread".into(), num(p.thread as u64)),
-                ])
-            })
-            .collect();
-        let trojans = self
-            .trojans
-            .iter()
-            .map(|t| {
-                Json::Obj(vec![
-                    ("link".into(), num(t.link as u64)),
-                    ("dest".into(), num(t.target_dest as u64)),
-                    ("armed".into(), Json::Bool(t.armed)),
-                    ("cooldown".into(), num(t.cooldown as u64)),
-                ])
-            })
-            .collect();
-        let stuck = self
-            .stuck
-            .iter()
-            .map(|s| {
-                Json::Obj(vec![
-                    ("link".into(), num(s.link as u64)),
-                    ("bit".into(), num(s.bit as u64)),
-                ])
-            })
-            .collect();
-        let sabotage = match self.sabotage {
-            None => Json::Null,
-            Some(Sabotage::StallSaRouter { router }) => Json::Obj(vec![
-                ("kind".into(), Json::Str("stall_sa_router".into())),
-                ("router".into(), num(router as u64)),
-            ]),
-            Some(Sabotage::LeakCredit { every }) => Json::Obj(vec![
-                ("kind".into(), Json::Str("leak_credit".into())),
-                ("every".into(), num(every as u64)),
-            ]),
-            Some(Sabotage::OvercountDelivered { every }) => Json::Obj(vec![
-                ("kind".into(), Json::Str("overcount_delivered".into())),
-                ("every".into(), num(every as u64)),
-            ]),
-            Some(Sabotage::OverSkip) => {
-                Json::Obj(vec![("kind".into(), Json::Str("over_skip".into()))])
-            }
-        };
-        let removed = self
-            .removed
-            .iter()
-            .map(|&(node, dir)| {
-                Json::Obj(vec![
-                    ("node".into(), num(node as u64)),
-                    ("dir".into(), num(dir as u64)),
-                ])
-            })
-            .collect();
-        Json::Obj(vec![
-            ("seed".into(), num(self.seed)),
-            ("width".into(), num(self.width as u64)),
-            ("height".into(), num(self.height as u64)),
-            ("topology".into(), num(self.topology as u64)),
-            ("removed".into(), Json::Arr(removed)),
-            ("concentration".into(), num(self.concentration as u64)),
-            ("vcs".into(), num(self.vcs as u64)),
-            ("vc_depth".into(), num(self.vc_depth as u64)),
-            ("retx_depth".into(), num(self.retx_depth as u64)),
-            ("retx_per_vc".into(), Json::Bool(self.retx_per_vc)),
-            ("mitigation".into(), Json::Bool(self.mitigation)),
-            (
-                "retry_budget".into(),
-                self.retry_budget.map_or(Json::Null, |b| num(b as u64)),
-            ),
-            ("watchdog".into(), Json::Bool(self.watchdog)),
-            ("max_cycles".into(), num(self.max_cycles)),
-            ("packets".into(), Json::Arr(packets)),
-            ("trojans".into(), Json::Arr(trojans)),
-            ("stuck".into(), Json::Arr(stuck)),
-            ("sabotage".into(), sabotage),
-        ])
-    }
-
-    /// Deserialize from the scenario JSON schema.
-    pub fn from_json(v: &Json) -> Result<Scenario, String> {
-        fn req_u64(v: &Json, key: &str) -> Result<u64, String> {
-            v.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("missing or invalid field '{key}'"))
-        }
-        fn req_bool(v: &Json, key: &str) -> Result<bool, String> {
-            v.get(key)
-                .and_then(Json::as_bool)
-                .ok_or_else(|| format!("missing or invalid field '{key}'"))
-        }
-        let mut packets = Vec::new();
-        for p in v
-            .get("packets")
-            .and_then(Json::as_arr)
-            .ok_or("missing 'packets'")?
-        {
-            packets.push(PacketSpec {
-                id: req_u64(p, "id")?,
-                src: req_u64(p, "src")? as u16,
-                dest: req_u64(p, "dest")? as u16,
-                vc: req_u64(p, "vc")? as u8,
-                len: req_u64(p, "len")? as u8,
-                inject_at: req_u64(p, "at")?,
-                thread: req_u64(p, "thread")? as u8,
-            });
-        }
-        let mut trojans = Vec::new();
-        for t in v
-            .get("trojans")
-            .and_then(Json::as_arr)
-            .ok_or("missing 'trojans'")?
-        {
-            trojans.push(TrojanSpec {
-                link: req_u64(t, "link")? as u16,
-                target_dest: req_u64(t, "dest")? as u16,
-                armed: req_bool(t, "armed")?,
-                cooldown: req_u64(t, "cooldown")? as u32,
-            });
-        }
-        let mut stuck = Vec::new();
-        for s in v
-            .get("stuck")
-            .and_then(Json::as_arr)
-            .ok_or("missing 'stuck'")?
-        {
-            stuck.push(StuckSpec {
-                link: req_u64(s, "link")? as u16,
-                bit: req_u64(s, "bit")? as u8,
-            });
-        }
-        let sabotage = match v.get("sabotage") {
-            None | Some(Json::Null) => None,
-            Some(s) => Some(match s.get("kind").and_then(Json::as_str) {
-                Some("stall_sa_router") => Sabotage::StallSaRouter {
-                    router: req_u64(s, "router")? as u16,
-                },
-                Some("leak_credit") => Sabotage::LeakCredit {
-                    every: req_u64(s, "every")? as u32,
-                },
-                Some("overcount_delivered") => Sabotage::OvercountDelivered {
-                    every: req_u64(s, "every")? as u32,
-                },
-                Some("over_skip") => Sabotage::OverSkip,
-                other => return Err(format!("unknown sabotage kind {other:?}")),
-            }),
-        };
-        let retry_budget = match v.get("retry_budget") {
-            None | Some(Json::Null) => None,
-            Some(b) => Some(b.as_u64().ok_or("invalid 'retry_budget'")? as u32),
-        };
-        // Topology fields default to a plain mesh so pre-topology
-        // scenario files stay parseable.
-        let topology = match v.get("topology") {
-            None | Some(Json::Null) => TOPOLOGY_MESH,
-            Some(t) => t.as_u64().ok_or("invalid 'topology'")? as u8,
-        };
-        let mut removed = Vec::new();
-        if let Some(arr) = v.get("removed").and_then(Json::as_arr) {
-            for r in arr {
-                removed.push((req_u64(r, "node")? as u16, req_u64(r, "dir")? as u8));
-            }
-        }
-        Ok(Scenario {
-            seed: req_u64(v, "seed")?,
-            width: req_u64(v, "width")? as u8,
-            height: req_u64(v, "height")? as u8,
-            concentration: req_u64(v, "concentration")? as u8,
-            vcs: req_u64(v, "vcs")? as u8,
-            vc_depth: req_u64(v, "vc_depth")? as u8,
-            retx_depth: req_u64(v, "retx_depth")? as u8,
-            retx_per_vc: req_bool(v, "retx_per_vc")?,
-            mitigation: req_bool(v, "mitigation")?,
-            retry_budget,
-            watchdog: req_bool(v, "watchdog")?,
-            max_cycles: req_u64(v, "max_cycles")?,
-            packets,
-            trojans,
-            stuck,
-            sabotage,
-            topology,
-            removed,
-        })
-    }
-
     /// Serialize to a JSON string.
     pub fn to_json_string(&self) -> String {
-        self.to_json().to_string()
+        json::to_string(&mut self.clone())
     }
 
-    /// Parse from a JSON string.
-    pub fn parse(text: &str) -> Result<Scenario, String> {
-        Scenario::from_json(&Json::parse(text)?)
+    /// Parse from a JSON string. Every integer is range-checked against
+    /// its field and packet ids must be unique; the error names the
+    /// member at fault.
+    pub fn parse(text: &str) -> Result<Scenario, JsonError> {
+        json::decode(text)
     }
 
     // ------------------------------------------------------------------
@@ -683,6 +483,94 @@ impl Scenario {
                 cooldown: 0,
             });
         }
+    }
+}
+
+// ----------------------------------------------------------------------
+// The scenario JSON format, stated once
+// ----------------------------------------------------------------------
+
+impl Fields for PacketSpec {
+    fn fields<C: Codec>(&mut self, c: &mut C) -> Result<(), JsonError> {
+        c.field("id", &mut self.id)?;
+        c.field("src", &mut self.src)?;
+        c.field("dest", &mut self.dest)?;
+        c.field("vc", &mut self.vc)?;
+        c.field("len", &mut self.len)?;
+        c.field("at", &mut self.inject_at)?;
+        c.field("thread", &mut self.thread)
+    }
+}
+
+impl Fields for TrojanSpec {
+    fn fields<C: Codec>(&mut self, c: &mut C) -> Result<(), JsonError> {
+        c.field("link", &mut self.link)?;
+        c.field("dest", &mut self.target_dest)?;
+        c.field("armed", &mut self.armed)?;
+        c.field("cooldown", &mut self.cooldown)
+    }
+}
+
+impl Fields for StuckSpec {
+    fn fields<C: Codec>(&mut self, c: &mut C) -> Result<(), JsonError> {
+        c.field("link", &mut self.link)?;
+        c.field("bit", &mut self.bit)
+    }
+}
+
+/// One entry of [`Scenario::removed`].
+#[derive(Default)]
+struct Removed {
+    node: u16,
+    dir: u8,
+}
+
+impl Fields for Removed {
+    fn fields<C: Codec>(&mut self, c: &mut C) -> Result<(), JsonError> {
+        c.field("node", &mut self.node)?;
+        c.field("dir", &mut self.dir)
+    }
+}
+
+/// Files written before the topology families may lack `topology` and
+/// `removed` (a plain mesh), and `sabotage` and `retry_budget` may be
+/// absent or `null`.
+impl Fields for Scenario {
+    fn fields<C: Codec>(&mut self, c: &mut C) -> Result<(), JsonError> {
+        let mut removed: Vec<Removed> = self
+            .removed
+            .iter()
+            .map(|&(node, dir)| Removed { node, dir })
+            .collect();
+        c.field("seed", &mut self.seed)?;
+        c.field("width", &mut self.width)?;
+        c.field("height", &mut self.height)?;
+        c.optional("topology", &mut self.topology)?;
+        c.optional("removed", &mut removed)?;
+        c.field("concentration", &mut self.concentration)?;
+        c.field("vcs", &mut self.vcs)?;
+        c.field("vc_depth", &mut self.vc_depth)?;
+        c.field("retx_depth", &mut self.retx_depth)?;
+        c.field("retx_per_vc", &mut self.retx_per_vc)?;
+        c.field("mitigation", &mut self.mitigation)?;
+        c.optional("retry_budget", &mut self.retry_budget)?;
+        c.field("watchdog", &mut self.watchdog)?;
+        c.field("max_cycles", &mut self.max_cycles)?;
+        c.field("packets", &mut self.packets)?;
+        c.field("trojans", &mut self.trojans)?;
+        c.field("stuck", &mut self.stuck)?;
+        c.optional("sabotage", &mut self.sabotage)?;
+        if C::READING {
+            self.removed = removed.iter().map(|r| (r.node, r.dir)).collect();
+            let mut ids = std::collections::HashSet::new();
+            if let Some(i) = self.packets.iter().position(|p| !ids.insert(p.id)) {
+                return Err(JsonError::field(
+                    format!("packets[{i}].id"),
+                    format!("packet id {} is not unique", self.packets[i].id),
+                ));
+            }
+        }
+        Ok(())
     }
 }
 

@@ -88,6 +88,33 @@ fn quarantine_credit_double_return_regression() {
     );
 }
 
+/// Files written before the topology families (like the fixture) lack
+/// `topology` and `removed`; `sabotage` and `retry_budget` may be absent
+/// or `null`. Anything else missing or out of type is refused.
+#[test]
+fn older_scenario_files_still_load() {
+    let text = include_str!("fixtures/quarantine_credit_regression.json");
+    let edit = |from: &str, to: &str| Scenario::parse(&text.replacen(from, to, 1));
+    let sc = Scenario::parse(text).expect("fixture parses");
+    assert_eq!(
+        (sc.topology, sc.removed.len(), sc.retry_budget),
+        (TOPOLOGY_MESH, 0, Some(4))
+    );
+    let no_sabotage = edit(",\"sabotage\":null", "").expect("sabotage may be absent");
+    assert_eq!(no_sabotage.sabotage, None);
+    let no_budget = edit("\"retry_budget\":4,", "").expect("retry_budget may be absent");
+    assert_eq!(no_budget.retry_budget, None);
+    let null_budget = edit("\"retry_budget\":4", "\"retry_budget\":null").expect("or null");
+    assert_eq!(null_budget.retry_budget, None);
+    for (from, to) in [
+        ("\"seed\":1454,", ""),
+        ("\"seed\":1454", "\"seed\":1454,\"topology\":null"),
+        ("\"seed\":1454", "\"seed\":1454,\"removed\":null"),
+    ] {
+        assert!(edit(from, to).is_err(), "{from} -> {to}");
+    }
+}
+
 /// Drive one sabotage through the full pipeline: find a diverging seed,
 /// shrink it, check the minimality bounds from the acceptance criteria
 /// (≤ 4 routers, ≤ 10 packets), and replay the minimized scenario through

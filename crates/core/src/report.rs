@@ -1,113 +1,13 @@
-//! Machine-readable result export: a small, dependency-free JSON writer
-//! for run results and time series, so external plotting/analysis tooling
-//! can consume experiment outputs without parsing the human tables.
-//! (serde is available for Rust-to-Rust round-trips; this module covers
-//! the interchange case without pulling a JSON crate into the tree.)
+//! Machine-readable result export: one run's aggregates and time series
+//! as JSON, so external plotting/analysis tooling can consume experiment
+//! outputs without parsing the human tables. The document is a
+//! [`noc_sim::json::Json`] tree, printed compactly.
 
 use crate::experiment::RunResult;
-use std::fmt::Write;
+use noc_sim::json::Json;
 
-/// Minimal JSON value builder. Only what the reports need: objects,
-/// arrays, strings, numbers, booleans.
-#[derive(Debug, Clone)]
-pub enum Json {
-    /// JSON null.
-    Null,
-    /// JSON boolean.
-    Bool(bool),
-    /// JSON number.
-    Num(f64),
-    /// JSON string.
-    Str(String),
-    /// JSON array.
-    Arr(Vec<Json>),
-    /// JSON object (ordered fields).
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// An object from `(key, value)` pairs.
-    pub fn obj(fields: Vec<(&str, Json)>) -> Json {
-        Json::Obj(
-            fields
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        )
-    }
-
-    /// A number from anything convertible to f64.
-    pub fn num<N: Into<f64>>(n: N) -> Json {
-        Json::Num(n.into())
-    }
-
-    /// `u64` loses no precision below 2^53, which covers every counter we
-    /// export; larger values are clamped (and none occur in practice).
-    pub fn u64(n: u64) -> Json {
-        Json::Num(n.min(1 << 53) as f64)
-    }
-
-    fn write(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => {
-                if n.fract() == 0.0 && n.abs() < (1i64 << 53) as f64 {
-                    let _ = write!(out, "{}", *n as i64);
-                } else {
-                    let _ = write!(out, "{n}");
-                }
-            }
-            Json::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\r' => out.push_str("\\r"),
-                        '\t' => out.push_str("\\t"),
-                        c if (c as u32) < 0x20 => {
-                            let _ = write!(out, "\\u{:04x}", c as u32);
-                        }
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    Json::Str(k.clone()).write(out);
-                    out.push(':');
-                    v.write(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-}
-
-/// Compact JSON serialisation (`to_string` comes with it).
-impl std::fmt::Display for Json {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut s = String::new();
-        self.write(&mut s);
-        f.write_str(&s)
-    }
+fn int(n: u64) -> Json {
+    Json::Int(n.into())
 }
 
 /// Export one run's aggregates and time series as JSON.
@@ -118,19 +18,16 @@ pub fn run_result_json(label: &str, r: &RunResult) -> String {
             .iter()
             .map(|s| {
                 Json::obj(vec![
-                    ("cycle", Json::u64(s.cycle)),
-                    ("input_util", Json::u64(s.input_util as u64)),
-                    ("output_util", Json::u64(s.output_util as u64)),
-                    ("injection_util", Json::u64(s.injection_util as u64)),
-                    ("all_cores_full", Json::u64(s.routers_all_cores_full as u64)),
-                    (
-                        "half_cores_full",
-                        Json::u64(s.routers_half_cores_full as u64),
-                    ),
-                    ("blocked", Json::u64(s.routers_blocked_port as u64)),
-                    ("delivered_delta", Json::u64(s.delivered_flits)),
-                    ("retx_delta", Json::u64(s.retransmissions)),
-                    ("uncorrectable_delta", Json::u64(s.uncorrectable_faults)),
+                    ("cycle", int(s.cycle)),
+                    ("input_util", int(s.input_util as u64)),
+                    ("output_util", int(s.output_util as u64)),
+                    ("injection_util", int(s.injection_util as u64)),
+                    ("all_cores_full", int(s.routers_all_cores_full as u64)),
+                    ("half_cores_full", int(s.routers_half_cores_full as u64)),
+                    ("blocked", int(s.routers_blocked_port as u64)),
+                    ("delivered_delta", int(s.delivered_flits)),
+                    ("retx_delta", int(s.retransmissions)),
+                    ("uncorrectable_delta", int(s.uncorrectable_faults)),
                 ])
             })
             .collect(),
@@ -142,32 +39,29 @@ pub fn run_result_json(label: &str, r: &RunResult) -> String {
             .enumerate()
             .map(|(i, l)| {
                 Json::obj(vec![
-                    ("link", Json::u64(i as u64)),
-                    ("flits", Json::u64(l.flits.get())),
-                    ("retx", Json::u64(l.retransmissions.get())),
-                    ("ecc_corrected", Json::u64(l.ecc_corrected.get())),
-                    ("ecc_uncorrectable", Json::u64(l.ecc_uncorrectable.get())),
-                    ("nacks", Json::u64(l.nacks.get())),
-                    ("lob_selections", Json::u64(l.lob_selections.get())),
+                    ("link", int(i as u64)),
+                    ("flits", int(l.flits.get())),
+                    ("retx", int(l.retransmissions.get())),
+                    ("ecc_corrected", int(l.ecc_corrected.get())),
+                    ("ecc_uncorrectable", int(l.ecc_uncorrectable.get())),
+                    ("nacks", int(l.nacks.get())),
+                    ("lob_selections", int(l.lob_selections.get())),
                 ])
             })
             .collect(),
     );
     Json::obj(vec![
         ("label", Json::Str(label.to_string())),
-        ("cycles", Json::u64(r.cycles)),
+        ("cycles", int(r.cycles)),
         ("drained", Json::Bool(r.drained)),
-        ("injected_packets", Json::u64(r.stats.injected_packets)),
-        ("delivered_packets", Json::u64(r.stats.delivered_packets)),
-        ("avg_latency", Json::num(r.stats.avg_latency())),
-        ("p99_latency", Json::u64(r.stats.latency_percentile(0.99))),
-        ("retransmissions", Json::u64(r.stats.retransmissions)),
-        (
-            "uncorrectable_faults",
-            Json::u64(r.stats.uncorrectable_faults),
-        ),
-        ("bist_scans", Json::u64(r.stats.bist_scans)),
-        ("trace_events", Json::u64(r.trace.len() as u64)),
+        ("injected_packets", int(r.stats.injected_packets)),
+        ("delivered_packets", int(r.stats.delivered_packets)),
+        ("avg_latency", Json::Float(r.stats.avg_latency())),
+        ("p99_latency", int(r.stats.latency_percentile(0.99))),
+        ("retransmissions", int(r.stats.retransmissions)),
+        ("uncorrectable_faults", int(r.stats.uncorrectable_faults)),
+        ("bist_scans", int(r.stats.bist_scans)),
+        ("trace_events", int(r.trace.len() as u64)),
         ("links", links),
         ("snapshots", snapshots),
     ])
@@ -180,28 +74,6 @@ mod tests {
     use noc_sim::{MetricsRegistry, SimStats};
 
     #[test]
-    fn json_escaping_and_shapes() {
-        let j = Json::obj(vec![
-            ("s", Json::Str("a\"b\\c\nd".into())),
-            ("n", Json::num(1.5)),
-            ("i", Json::u64(42)),
-            ("b", Json::Bool(true)),
-            ("z", Json::Null),
-            ("a", Json::Arr(vec![Json::u64(1), Json::u64(2)])),
-        ]);
-        assert_eq!(
-            j.to_string(),
-            r#"{"s":"a\"b\\c\nd","n":1.5,"i":42,"b":true,"z":null,"a":[1,2]}"#
-        );
-    }
-
-    #[test]
-    fn integers_print_without_fraction() {
-        assert_eq!(Json::num(3.0).to_string(), "3");
-        assert_eq!(Json::num(3.25).to_string(), "3.25");
-    }
-
-    #[test]
     fn run_result_exports_valid_json_shape() {
         let r = RunResult {
             stats: SimStats::default(),
@@ -212,25 +84,14 @@ mod tests {
             metrics: MetricsRegistry::new(2, 1),
             trace: Vec::new(),
         };
-        let s = run_result_json("smoke", &r);
-        assert!(s.starts_with('{') && s.ends_with('}'));
-        assert!(s.contains(r#""label":"smoke""#));
-        assert!(s.contains(r#""drained":true"#));
-        assert!(s.contains(r#""snapshots":[]"#));
-        assert!(s.contains(r#""trace_events":0"#));
-        assert!(s.contains(r#""link":1"#), "per-link table exported: {s}");
-        // Balanced braces/brackets (cheap well-formedness check).
-        let depth = s.chars().fold(0i32, |d, c| match c {
-            '{' | '[' => d + 1,
-            '}' | ']' => d - 1,
-            _ => d,
-        });
-        assert_eq!(depth, 0);
-    }
-
-    #[test]
-    fn control_characters_are_escaped() {
-        let j = Json::Str("\u{1}".into());
-        assert_eq!(j.to_string(), "\"\\u0001\"");
+        let doc = Json::parse(&run_result_json("smoke", &r)).expect("valid JSON");
+        assert_eq!(doc.get("label"), Some(&Json::Str("smoke".into())));
+        assert_eq!(doc.get("drained"), Some(&Json::Bool(true)));
+        assert_eq!(doc.get("snapshots"), Some(&Json::Arr(Vec::new())));
+        assert_eq!(doc.get("trace_events"), Some(&Json::Int(0)));
+        let Some(Json::Arr(links)) = doc.get("links") else {
+            panic!("per-link table exported");
+        };
+        assert_eq!(links[1].get("link"), Some(&Json::Int(1)));
     }
 }

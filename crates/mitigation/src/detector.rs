@@ -92,29 +92,6 @@ pub enum FaultClass {
     HardwareTrojan,
 }
 
-impl FaultClass {
-    /// Stable machine-readable label (used by the trace JSONL schema).
-    pub fn label(self) -> &'static str {
-        match self {
-            FaultClass::None => "none",
-            FaultClass::Transient => "transient",
-            FaultClass::Permanent => "permanent",
-            FaultClass::HardwareTrojan => "hardware_trojan",
-        }
-    }
-
-    /// Parse a [`FaultClass::label`] back.
-    pub fn from_label(s: &str) -> Option<FaultClass> {
-        match s {
-            "none" => Some(FaultClass::None),
-            "transient" => Some(FaultClass::Transient),
-            "permanent" => Some(FaultClass::Permanent),
-            "hardware_trojan" => Some(FaultClass::HardwareTrojan),
-            _ => None,
-        }
-    }
-}
-
 /// Identity of a flit for fault bookkeeping: the packet signature plus the
 /// flit's sequence inside it (the detector records "the packet's source,
 /// destination, vc, requested memory address" — `PacketId` stands in for

@@ -28,11 +28,11 @@ fn main() {
         if line.trim().is_empty() {
             continue;
         }
-        let Some(rec) = Record::from_jsonl(line) else {
-            eprintln!("{path}:{}: line does not match the trace schema:", i + 1);
+        let rec = Record::from_jsonl(line).unwrap_or_else(|e| {
+            eprintln!("{path}:{}: line does not match the schema: {e}", i + 1);
             eprintln!("  {line}");
-            std::process::exit(1);
-        };
+            std::process::exit(1)
+        });
         let back = rec.to_jsonl();
         if back != line {
             eprintln!("{path}:{}: line is not canonical:", i + 1);

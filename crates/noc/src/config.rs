@@ -65,6 +65,14 @@ pub enum Sabotage {
     OverSkip,
 }
 
+// A scenario file's `sabotage` member: an object tagged by `kind`.
+crate::json::json_tagged!(Sabotage "kind" {
+    "stall_sa_router" => StallSaRouter { router },
+    "leak_credit" => LeakCredit { every },
+    "overcount_delivered" => OvercountDelivered { every },
+    "over_skip" => OverSkip,
+});
+
 /// Structured-tracing configuration (see [`crate::trace`]). Absent from
 /// the config (`SimConfig::trace = None`), the simulator holds no
 /// recorder and every emission site reduces to one `Option` test.

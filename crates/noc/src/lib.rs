@@ -38,6 +38,7 @@ pub mod error;
 pub mod fault;
 pub mod input;
 pub mod invariants;
+pub mod json;
 pub mod link;
 pub mod message;
 pub mod metrics;

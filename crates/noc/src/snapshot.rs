@@ -1381,7 +1381,7 @@ fn tracer<C: Codec>(c: &mut C, slot: &mut Option<TraceRecorder>) -> Result<(), S
         t.capacity = t.capacity.max(1);
         t.buf = lines
             .iter()
-            .map(|line| Record::from_jsonl(line).ok_or_else(|| corrupt("trace record jsonl")))
+            .map(|line| Record::from_jsonl(line).map_err(|_| corrupt("trace record jsonl")))
             .collect::<Result<_, _>>()?;
     }
     Ok(())

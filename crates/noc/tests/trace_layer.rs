@@ -152,6 +152,11 @@ fn jsonl_schema_round_trips_every_variant() {
             dropped_flits: 12,
             dropped_packets: 3,
         },
+        TraceKind::Alert {
+            class: noc_sim::AlertClass::RetxSurge,
+            value: 512,
+            threshold: 96,
+        },
     ];
     for (i, kind) in kinds.into_iter().enumerate() {
         let rec = Record {
@@ -159,8 +164,8 @@ fn jsonl_schema_round_trips_every_variant() {
             kind,
         };
         let line = rec.to_jsonl();
-        let back =
-            Record::from_jsonl(&line).unwrap_or_else(|| panic!("line must parse back: {line}"));
+        let back = Record::from_jsonl(&line)
+            .unwrap_or_else(|e| panic!("line must parse back: {line}: {e}"));
         assert_eq!(back, rec, "round-trip mismatch for {line}");
         assert_eq!(back.to_jsonl(), line, "canonical form for {line}");
     }
@@ -317,6 +322,6 @@ fn sink_stream_is_schema_clean_and_complete() {
     assert_eq!(tracer.len(), 16);
     for rec in &streamed {
         let line = rec.to_jsonl();
-        assert_eq!(Record::from_jsonl(&line), Some(*rec), "{line}");
+        assert_eq!(Record::from_jsonl(&line), Ok(*rec), "{line}");
     }
 }
