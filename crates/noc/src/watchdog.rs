@@ -81,17 +81,6 @@ pub enum StallKind {
     },
 }
 
-impl StallKind {
-    /// Stable machine-readable label (shared with the trace schema).
-    pub fn label(&self) -> &'static str {
-        match self {
-            StallKind::GlobalDeadlock { .. } => "global_deadlock",
-            StallKind::CreditStall { .. } => "credit_stall",
-            StallKind::RetxLivelock { .. } => "retx_livelock",
-        }
-    }
-}
-
 /// A structured stall diagnosis, produced instead of spinning forever.
 ///
 /// Equality deliberately ignores [`StallReport::heartbeat`]: the
