@@ -232,10 +232,66 @@ impl Scenario {
     }
 
     /// Parse from a JSON string. Every integer is range-checked against
-    /// its field and packet ids must be unique; the error names the
-    /// member at fault.
+    /// its field, packet ids must be unique, and the scenario must replay
+    /// as written: no value the simulator would clamp or refuse, and no
+    /// id of a router, VC, link or wire the scenario lacks. The error
+    /// names the member at fault.
     pub fn parse(text: &str) -> Result<Scenario, JsonError> {
         json::decode(text)
+    }
+
+    /// Refuse a scenario that would not replay as written: a mesh
+    /// dimension [`Scenario::mesh`] would raise, a configuration value
+    /// outside [`SimConfig::validate`]'s bounds, or a packet, trojan or
+    /// stuck wire naming a router, VC, link or wire the scenario lacks.
+    /// `mesh` and `sim_config` clamp instead, so every shrink candidate
+    /// still builds.
+    fn check(&self) -> Result<(), JsonError> {
+        let mesh = self.mesh();
+        let dims = [
+            ("width", self.width, mesh.width()),
+            ("height", self.height, mesh.height()),
+            ("concentration", self.concentration, mesh.concentration()),
+        ];
+        if let Some((field, written, built)) = dims.into_iter().find(|&(_, w, b)| w != b) {
+            let what = format!("{written} is below {built}, the least this topology takes");
+            return Err(JsonError::field(field, what));
+        }
+        let mut cfg = self.sim_config();
+        (cfg.vcs, cfg.vc_depth, cfg.retx_depth) = (self.vcs, self.vc_depth, self.retx_depth);
+        cfg.validate()
+            .map_err(|e| JsonError::field(e.field, e.what))?;
+        // (list, index, member, id, how many the scenario has)
+        let (routers, links, vcs) = (mesh.routers(), mesh.links(), usize::from(self.vcs));
+        let packets = self.packets.iter().enumerate().flat_map(|(i, p)| {
+            [
+                ("packets", i, "src", usize::from(p.src), routers),
+                ("packets", i, "dest", usize::from(p.dest), routers),
+                ("packets", i, "vc", usize::from(p.vc), vcs),
+            ]
+        });
+        let trojans = (self.trojans.iter().enumerate())
+            .map(|(i, t)| ("trojans", i, "link", usize::from(t.link), links));
+        let wires = noc_ecc::CODEWORD_BITS;
+        let stuck = self.stuck.iter().enumerate().flat_map(|(i, s)| {
+            [
+                ("stuck", i, "link", usize::from(s.link), links),
+                ("stuck", i, "bit", usize::from(s.bit), wires),
+            ]
+        });
+        for (list, i, member, id, count) in packets.chain(trojans).chain(stuck) {
+            if id >= count {
+                let what = format!("{id} is out of range: the scenario has {count}");
+                return Err(JsonError::field(format!("{list}[{i}].{member}"), what));
+            }
+        }
+        match self.packets.iter().position(|p| p.len == 0) {
+            Some(i) => Err(JsonError::field(
+                format!("packets[{i}].len"),
+                "a packet has at least 1 flit",
+            )),
+            None => Ok(()),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -569,6 +625,7 @@ impl Fields for Scenario {
                     format!("packet id {} is not unique", self.packets[i].id),
                 ));
             }
+            self.check()?;
         }
         Ok(())
     }
@@ -676,10 +733,16 @@ mod tests {
 
     #[test]
     fn json_round_trip_is_exact() {
-        for seed in 0..50 {
-            let sc = Scenario::generate(seed);
-            let text = sc.to_json_string();
-            assert_eq!(Scenario::parse(&text).unwrap(), sc, "seed {seed}");
+        for family in [TOPOLOGY_MESH, TOPOLOGY_TORUS, TOPOLOGY_DEGRADED] {
+            for seed in 0..500 {
+                let sc = Scenario::generate_in(seed, Some(family));
+                let text = sc.to_json_string();
+                assert_eq!(
+                    Scenario::parse(&text),
+                    Ok(sc),
+                    "family {family} seed {seed}"
+                );
+            }
         }
     }
 

@@ -69,6 +69,66 @@ fn hostile_files_exit_2_naming_the_fault() {
             mutated("\"id\":11", "\"id\":8"),
             "packet id 8 is not unique",
         ),
+        // Values that fit their types but not the engine or the mesh.
+        ("width_0", mutated("\"width\":4", "\"width\":0"), "'width'"),
+        (
+            "height_0",
+            mutated("\"height\":2", "\"height\":0"),
+            "'height'",
+        ),
+        (
+            "concentration_0",
+            mutated("\"concentration\":1", "\"concentration\":0"),
+            "'concentration'",
+        ),
+        ("vcs_0", mutated("\"vcs\":2", "\"vcs\":0"), "'vcs'"),
+        ("vcs_100", mutated("\"vcs\":2", "\"vcs\":100"), "'vcs'"),
+        (
+            "vc_depth_0",
+            mutated("\"vc_depth\":2", "\"vc_depth\":0"),
+            "'vc_depth'",
+        ),
+        (
+            "retx_depth_0",
+            mutated("\"retx_depth\":2", "\"retx_depth\":0"),
+            "'retx_depth'",
+        ),
+        (
+            "retry_budget_0",
+            mutated("\"retry_budget\":4", "\"retry_budget\":0"),
+            "'retry_budget'",
+        ),
+        (
+            "src_999",
+            mutated("\"src\":4", "\"src\":999"),
+            "'packets[0].src'",
+        ),
+        (
+            "dest_999",
+            mutated("\"dest\":6", "\"dest\":999"),
+            "'packets[0].dest'",
+        ),
+        ("vc_99", mutated("\"vc\":0", "\"vc\":99"), "'packets[0].vc'"),
+        (
+            "len_0",
+            mutated("\"len\":4", "\"len\":0"),
+            "'packets[0].len'",
+        ),
+        (
+            "trojan_link_9999",
+            mutated("\"link\":12", "\"link\":9999"),
+            "'trojans[0].link'",
+        ),
+        (
+            "stuck_link_9999",
+            mutated("\"stuck\":[]", "\"stuck\":[{\"link\":9999,\"bit\":3}]"),
+            "'stuck[0].link'",
+        ),
+        (
+            "stuck_bit_200",
+            mutated("\"stuck\":[]", "\"stuck\":[{\"link\":1,\"bit\":200}]"),
+            "'stuck[0].bit'",
+        ),
         ("not_json", "scenario".to_string(), "not a scenario"),
     ] {
         let path = dir.join(format!("{name}.json"));

@@ -102,13 +102,13 @@ impl Scenario {
         }
     }
 
-    /// Seed defaults; see `paper_default`.
+    /// Replace the infected link set.
     pub fn with_infected(mut self, infected: Vec<LinkId>) -> Self {
         self.infected = infected;
         self
     }
 
-    /// Replace the infected link set.
+    /// Replace the traffic-model seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self

@@ -8,10 +8,6 @@
 //!
 //! The sweep crosses seeds × protection schemes × thread counts {1, 4}
 //! × scenario families {baseline, trojan-flood, quarantine-reroute}.
-//! The skipping arm uses `skip_idle_cycles_guarded`, which additionally
-//! audits the network invariants at every snapshot-interval boundary
-//! inside each skipped window — so a pass also certifies that skipped
-//! state would have survived the conformance oracles.
 
 use htnoc_core::prelude::*;
 use noc_sim::{Simulator, TraceConfig, TrafficSource};
@@ -62,16 +58,15 @@ fn observe(sim: &mut Simulator) -> Observables {
     }
 }
 
-/// Run to exactly `max_cycles`, either naively or through the guarded
-/// fast-forward loop. Both arms land on the same cycle by construction
+/// Run to exactly `max_cycles`, either naively or skipping every idle
+/// window it can prove. Both arms land on the same cycle by construction
 /// — the drained tail past quiescence is precisely where the skipping
 /// arm must leap in one hop while the naive arm grinds through it.
 fn run_arm(sim: &mut Simulator, traffic: &mut dyn TrafficSource, max_cycles: u64, ff: bool) {
     sim.set_fast_forward(ff);
     while sim.cycle() < max_cycles {
         let skipped = if ff {
-            sim.skip_idle_cycles_guarded(max_cycles - sim.cycle(), traffic)
-                .expect("network invariants hold inside every skipped window")
+            sim.skip_idle_cycles(max_cycles - sim.cycle(), traffic)
         } else {
             0
         };

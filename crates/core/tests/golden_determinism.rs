@@ -20,7 +20,7 @@
 //! file is their only pin. It is compare-only: no environment variable
 //! rewrites it.
 
-use htnoc_core::campaign::trojan_flood_traced_threads;
+use htnoc_core::campaign::{trojan_flood, RunOpts};
 use htnoc_core::prelude::*;
 use noc_sim::{MetricsRegistry, TraceConfig};
 use noc_traffic::AppSpec;
@@ -138,7 +138,12 @@ fn baseline_digest(threads: usize) -> (String, String) {
 /// The trojan-flood scenario with the structured tracer armed: the
 /// watchdog-guarded retransmission storm from the resilience campaign.
 fn trojan_flood_digest(threads: usize) -> (String, String) {
-    let (report, sim) = trojan_flood_traced_threads(0x0D15_EA5E, TraceConfig::default(), threads);
+    let opts = RunOpts {
+        threads,
+        trace: Some(TraceConfig::default()),
+        ..RunOpts::default()
+    };
+    let (report, sim) = trojan_flood(0x0D15_EA5E, opts).expect("the flood ends in a report");
     let stats = format!("{:?}", sim.stats());
     let tracer = sim.tracer().expect("tracing was armed");
     let mut jsonl = String::new();

@@ -14,15 +14,24 @@
 //!   same latency quantiles, attempt p99 and skipped cycles the
 //!   simulator's own counters hold.
 
-use htnoc_core::campaign::{
-    baseline_telemetry, trojan_flood_telemetry, trojan_flood_threads, CAMPAIGN_SEED,
-};
+use htnoc_core::campaign::{baseline_uniform, trojan_flood, RunOpts, CAMPAIGN_SEED};
+use htnoc_core::ScenarioReport;
 use noc_sim::metrics::PowHistogram;
-use noc_sim::{parse_prometheus, prom_value, AlertClass};
+use noc_sim::{parse_prometheus, prom_value, AlertClass, Record, Simulator, TraceConfig};
 use proptest::prelude::*;
 
 /// The acceptance seed: the published trojan-flood run.
 const FLOOD_SEED: u64 = CAMPAIGN_SEED.wrapping_add(5);
+
+/// The flood on `threads` shards, with or without telemetry.
+fn flood(seed: u64, threads: usize, telemetry: bool) -> (ScenarioReport, Simulator) {
+    let opts = RunOpts {
+        threads,
+        telemetry,
+        ..RunOpts::default()
+    };
+    trojan_flood(seed, opts).expect("the flood ends in a report")
+}
 
 proptest! {
     // Each case runs the full flood twice; keep the budget small.
@@ -34,26 +43,58 @@ proptest! {
         tidx in 0usize..2,
     ) {
         let threads = [1usize, 4][tidx];
-        let (plain_rep, plain_sim) = trojan_flood_threads(seed, threads);
-        let (tel_rep, tel_sim) = trojan_flood_telemetry(seed, threads);
+        let (plain_rep, plain_sim) = flood(seed, threads, false);
+        let (tel_rep, tel_sim) = flood(seed, threads, true);
         // Full statistics fingerprint: aggregates, histogram, and the
         // per-window time series must match bit for bit.
         prop_assert_eq!(
             format!("{:?}", plain_sim.stats()),
             format!("{:?}", tel_sim.stats())
         );
-        prop_assert_eq!(plain_rep.cycles, tel_rep.cycles);
-        prop_assert_eq!(plain_rep.injected_flits, tel_rep.injected_flits);
-        prop_assert_eq!(plain_rep.delivered_flits, tel_rep.delivered_flits);
-        prop_assert_eq!(plain_rep.dropped_flits, tel_rep.dropped_flits);
-        prop_assert_eq!(plain_rep.quarantined_links, tel_rep.quarantined_links);
-        prop_assert_eq!(&plain_rep.stalls, &tel_rep.stalls);
+        prop_assert_eq!(plain_rep, tel_rep);
+    }
+}
+
+#[test]
+fn tracer_and_telemetry_observe_one_run_together() {
+    // Armed with the tracer, telemetry adds one `alert` record per alert
+    // fired and changes nothing else.
+    let traced = |telemetry: bool| {
+        let opts = RunOpts {
+            // The flood emits more than the default ring holds; keep it all.
+            trace: Some(TraceConfig { capacity: 1 << 21 }),
+            telemetry,
+            ..RunOpts::default()
+        };
+        let (rep, sim) = trojan_flood(FLOOD_SEED, opts).expect("the flood ends in a report");
+        let tracer = sim.tracer().expect("tracing was armed");
+        assert_eq!(tracer.dropped(), 0, "the ring kept every record");
+        let jsonl: Vec<String> = tracer.records().map(Record::to_jsonl).collect();
+        (rep, format!("{:?}", sim.stats()), jsonl)
+    };
+    let (plain_rep, plain_stats, plain_jsonl) = traced(false);
+    let (tel_rep, tel_stats, tel_jsonl) = traced(true);
+    assert_eq!(plain_rep, tel_rep);
+    assert_eq!(plain_stats, tel_stats);
+    let (alerts, others): (Vec<&String>, Vec<&String>) = tel_jsonl
+        .iter()
+        .partition(|l| l.contains("\"event\":\"alert\""));
+    assert!(!alerts.is_empty(), "the flood raises alerts");
+    assert!(
+        plain_jsonl
+            .iter()
+            .all(|l| !l.contains("\"event\":\"alert\"")),
+        "no telemetry, no alert records"
+    );
+    assert_eq!(others.len(), plain_jsonl.len());
+    for (i, (a, b)) in others.iter().zip(&plain_jsonl).enumerate() {
+        assert_eq!(*a, b, "record {i} differs");
     }
 }
 
 #[test]
 fn flood_alerts_fire_before_the_watchdog() {
-    let (rep, sim) = trojan_flood_telemetry(FLOOD_SEED, 1);
+    let (rep, sim) = flood(FLOOD_SEED, 1, true);
     let tel = sim.telemetry().expect("telemetry armed");
     let alerts = tel.alerts();
     assert!(
@@ -76,7 +117,7 @@ fn flood_alerts_fire_before_the_watchdog() {
 
 #[test]
 fn baseline_stays_alert_free() {
-    let (_rep, sim) = baseline_telemetry(CAMPAIGN_SEED, 1);
+    let (_rep, sim) = baseline_uniform(CAMPAIGN_SEED, None).expect("no output to fail");
     let tel = sim.telemetry().expect("telemetry armed");
     assert_eq!(
         tel.alerts().fired_total(),
@@ -90,7 +131,7 @@ fn baseline_stays_alert_free() {
 
 #[test]
 fn engine_profile_and_timeline_accumulate() {
-    let (_rep, sim) = trojan_flood_telemetry(FLOOD_SEED, 1);
+    let (_rep, sim) = flood(FLOOD_SEED, 1, true);
     let tel = sim.telemetry().expect("telemetry armed");
     assert!(tel.cycles_profiled() > 0);
     assert!(
@@ -109,7 +150,7 @@ fn engine_profile_and_timeline_accumulate() {
 
 #[test]
 fn prometheus_export_of_a_real_run_parses_strictly() {
-    let (rep, sim) = trojan_flood_telemetry(FLOOD_SEED, 1);
+    let (rep, sim) = flood(FLOOD_SEED, 1, true);
     let text = sim.prometheus_text(&[("scenario", "trojan_flood")]);
     let samples = parse_prometheus(&text).expect("strict parse");
     assert_eq!(prom_value(&samples, "noc_cycle"), Some(rep.cycles as f64));
@@ -181,7 +222,7 @@ fn prometheus_export_of_a_real_run_parses_strictly() {
 
 #[test]
 fn stall_reports_carry_the_engine_heartbeat() {
-    let (rep, _sim) = trojan_flood_telemetry(FLOOD_SEED, 1);
+    let (rep, _sim) = flood(FLOOD_SEED, 1, true);
     let stall = rep.stalls.first().expect("the flood stalls");
     let hb = stall
         .heartbeat
@@ -190,7 +231,7 @@ fn stall_reports_carry_the_engine_heartbeat() {
     assert!(hb.phase_ns.iter().sum::<u64>() > 0, "profile accumulated");
     // And without telemetry the report is heartbeat-free (and still
     // compares equal — equality ignores the side band).
-    let (plain, _) = trojan_flood_threads(FLOOD_SEED, 1);
+    let (plain, _) = flood(FLOOD_SEED, 1, false);
     assert!(plain.stalls[0].heartbeat.is_none());
     assert_eq!(plain.stalls[0], *stall);
 }

@@ -1,10 +1,10 @@
 //! Typed simulation errors.
 //!
-//! The guarded execution APIs ([`crate::Simulator::try_step`],
-//! [`crate::Simulator::run_to_quiescence_guarded`]) return these instead
-//! of panicking or silently spinning, so campaign drivers can distinguish
-//! "the network stalled" from "the simulator's own state is corrupt" from
-//! "the requested degradation is impossible".
+//! [`crate::Simulator::try_step`], the simulator's one guarded entry
+//! point, returns these instead of panicking or silently spinning, so a
+//! driver looping over it can distinguish "the network stalled" from
+//! "the simulator's own state is corrupt" from "the requested
+//! degradation is impossible".
 
 use crate::invariants::Violation;
 use crate::watchdog::StallReport;

@@ -55,7 +55,7 @@ pub mod telemetry;
 pub mod trace;
 pub mod watchdog;
 
-pub use config::{QosMode, RetxScheme, Sabotage, SimConfig, TraceConfig};
+pub use config::{ConfigError, QosMode, RetxScheme, Sabotage, SimConfig, TraceConfig};
 pub use error::SimError;
 pub use fault::LinkFaults;
 pub use message::SimEvent;

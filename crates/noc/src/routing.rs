@@ -68,10 +68,10 @@ pub struct RouteTables {
     pub(crate) next: Vec<Vec<Option<Direction>>>,
 }
 
-/// A fixed-capacity set of legal output ports, best-default first — the
-/// allocation-free form of [`Routing::route_candidates`] used by the
-/// per-cycle RC stage. A mesh router never has more than 4 candidates
-/// (one local port, or up to the 4 network directions).
+/// A fixed-capacity set of legal output ports, best-default first, as
+/// the per-cycle RC stage reads them from [`Routing::route_set`]. A mesh
+/// router never has more than 4 candidates (one local port, or up to the
+/// 4 network directions).
 #[derive(Debug, Clone, Copy)]
 pub struct RouteSet {
     ports: [Port; 4],
@@ -91,7 +91,7 @@ impl RouteSet {
         self.len += 1;
     }
 
-    /// The candidates, in the same order `route_candidates` returns them.
+    /// The candidates, best-default first.
     pub fn as_slice(&self) -> &[Port] {
         &self.ports[..self.len as usize]
     }
@@ -106,7 +106,7 @@ impl Routing {
     /// Output port for a flit with header `h` standing at `node`.
     /// Local delivery uses the destination thread's local port. Adaptive
     /// functions return their first legal candidate here; congestion-aware
-    /// selection goes through [`Routing::route_candidates`].
+    /// selection goes through [`Routing::route_set`].
     pub fn route(&self, mesh: &Mesh, node: NodeId, h: &Header) -> Option<Port> {
         self.route_set(mesh, node, h).as_slice().first().copied()
     }
@@ -115,12 +115,6 @@ impl Routing {
     /// table routing are deterministic (one candidate); odd-even returns
     /// every direction the turn model allows so the router can pick the
     /// least congested.
-    pub fn route_candidates(&self, mesh: &Mesh, node: NodeId, h: &Header) -> Vec<Port> {
-        self.route_set(mesh, node, h).as_slice().to_vec()
-    }
-
-    /// Allocation-free [`Routing::route_candidates`]: same candidates in
-    /// the same order, in a fixed-size [`RouteSet`].
     pub fn route_set(&self, mesh: &Mesh, node: NodeId, h: &Header) -> RouteSet {
         let mut set = RouteSet::new();
         if node == h.dest {
@@ -382,14 +376,8 @@ pub fn route_path(mesh: &Mesh, routing: &Routing, src: NodeId, dest: NodeId) -> 
 /// only leave the current column northward/southward where a later
 /// east-to-vertical turn would remain legal, and westbound packets may
 /// only turn vertical in even columns (vertical-to-west turns are banned
-/// in odd columns).
-pub fn odd_even_candidates(mesh: &Mesh, node: NodeId, src: NodeId, dest: NodeId) -> Vec<Direction> {
-    let (dirs, n) = odd_even_dirs(mesh, node, src, dest);
-    dirs[..n].to_vec()
-}
-
-/// Allocation-free core of [`odd_even_candidates`]: at most two minimal
-/// directions are ever legal, returned as `(buffer, count)`.
+/// in odd columns). At most two minimal directions are ever legal,
+/// returned as `(buffer, count)`.
 fn odd_even_dirs(mesh: &Mesh, node: NodeId, src: NodeId, dest: NodeId) -> ([Direction; 2], usize) {
     let cur = mesh.coord_of(node);
     let d = mesh.coord_of(dest);
@@ -1156,9 +1144,9 @@ mod tests {
                 }
                 let src = NodeId(s);
                 let dest = NodeId(d);
-                let cands = odd_even_candidates(&m, src, src, dest);
-                assert!(!cands.is_empty(), "{s}->{d}");
-                for dir in cands {
+                let (dirs, n) = odd_even_dirs(&m, src, src, dest);
+                assert!(n > 0, "{s}->{d}");
+                for &dir in &dirs[..n] {
                     // Minimal: every candidate reduces the distance.
                     let nb = m.neighbor(src, dir).expect("minimal move exists");
                     assert_eq!(
@@ -1188,7 +1176,7 @@ mod tests {
                 let mut prev: Option<Direction> = None;
                 let mut hops = 0;
                 while at != dest {
-                    let dir = odd_even_candidates(&m, at, src, dest)[0];
+                    let dir = odd_even_dirs(&m, at, src, dest).0[0];
                     let col = m.coord_of(at).x;
                     if let Some(p) = prev {
                         let en_es = p == Direction::East
@@ -1225,9 +1213,12 @@ mod tests {
         };
         let r = Routing::OddEven;
         let at_odd_col = m.node_at(Coord::new(1, 0));
-        let cands = r.route_candidates(&m, at_odd_col, &h);
-        assert!(cands.len() >= 2, "diversity expected: {cands:?}");
-        assert_eq!(Routing::Xy.route_candidates(&m, at_odd_col, &h).len(), 1);
+        let cands = r.route_set(&m, at_odd_col, &h);
+        assert!(cands.as_slice().len() >= 2, "diversity expected: {cands:?}");
+        assert_eq!(
+            Routing::Xy.route_set(&m, at_odd_col, &h).as_slice().len(),
+            1
+        );
     }
 
     #[test]

@@ -1055,27 +1055,6 @@ impl Simulator {
         let _ = snap.write_atomic(&path);
     }
 
-    /// Guarded version of [`Simulator::run_to_quiescence`]: instead of
-    /// silently spinning through a deadlock until the cycle budget dies,
-    /// the watchdog converts the stall into a structured error.
-    pub fn run_to_quiescence_guarded(
-        &mut self,
-        max_cycles: u64,
-        source: &mut dyn TrafficSource,
-    ) -> Result<bool, SimError> {
-        let deadline = self.cycle.saturating_add(max_cycles);
-        while self.cycle < deadline {
-            self.try_step(source)?;
-            if source.done() && self.is_quiescent() {
-                return Ok(true);
-            }
-            if self.cycle < deadline {
-                self.skip_idle_cycles_guarded(deadline - self.cycle, source)?;
-            }
-        }
-        Ok(source.done() && self.is_quiescent())
-    }
-
     // ------------------------------------------------------------------
     // Quiescence-aware fast-forward (the event-horizon engine)
     // ------------------------------------------------------------------
@@ -1123,39 +1102,6 @@ impl Simulator {
         };
         self.commit_skip(from, to, source);
         to - from
-    }
-
-    /// Guarded fast-forward: replays [`Simulator::try_step`]'s periodic
-    /// invariant audit. The simulator state is constant across the
-    /// window, so a single audit stands for every multiple of
-    /// `check_invariants_every` inside it; on violation the skip is
-    /// truncated to the exact cycle where naive guarded stepping would
-    /// have surfaced the error.
-    pub fn skip_idle_cycles_guarded(
-        &mut self,
-        limit: u64,
-        source: &mut dyn TrafficSource,
-    ) -> Result<u64, SimError> {
-        let Some((from, to)) = self.skip_window(limit, source) else {
-            return Ok(0);
-        };
-        if let Some(every) = self.cfg.check_invariants_every {
-            // `try_step` audits after the cycle counter increments, i.e.
-            // at multiples of `every` in `(from, to]`.
-            let first = (from + 1).next_multiple_of(every.max(1));
-            if first <= to {
-                let violations = self.check_all_invariants();
-                if !violations.is_empty() {
-                    self.commit_skip(from, first, source);
-                    return Err(SimError::InvariantViolations {
-                        cycle: first,
-                        violations,
-                    });
-                }
-            }
-        }
-        self.commit_skip(from, to, source);
-        Ok(to - from)
     }
 
     /// The skip gate: prove cycles `[self.cycle, to)` are no-ops and
@@ -1940,6 +1886,60 @@ mod tests {
         }
     }
 
+    /// Step guarded until `src` is spent and the network drains
+    /// (`Ok(true)`), for at most `cycles` cycles (`Ok(false)`), or until
+    /// the first error.
+    fn drain_guarded(
+        sim: &mut Simulator,
+        src: &mut dyn TrafficSource,
+        cycles: u64,
+    ) -> Result<bool, crate::error::SimError> {
+        for _ in 0..cycles {
+            sim.try_step(src)?;
+            if src.done() && sim.is_quiescent() {
+                return Ok(true);
+            }
+        }
+        Ok(false)
+    }
+
+    /// Injects nothing, and promises nothing before cycle `.0`.
+    struct QuietUntil(u64);
+
+    impl TrafficSource for QuietUntil {
+        fn poll(&mut self, _cycle: u64, _out: &mut Vec<Packet>) {}
+        fn next_injection_at(&self, now: u64) -> Option<u64> {
+            Some(self.0.max(now))
+        }
+    }
+
+    #[test]
+    fn idle_skip_truncates_exactly_at_driver_deadlines() {
+        // A driver passes `deadline - now` as the limit (a checkpoint
+        // multiple, an arming edge, a halt). A skip must land exactly on
+        // that deadline, never a cycle past it, and otherwise stop
+        // exactly at the source's horizon.
+        let mut sim = Simulator::new(SimConfig::paper_resilient());
+        let mut src = QuietUntil(900);
+        // One settle step so the conservative all-set bitmaps compact.
+        sim.step(&mut src);
+        assert_eq!(sim.cycle(), 1);
+        assert_eq!(
+            sim.skip_idle_cycles(511, &mut src),
+            511,
+            "a mid-gap deadline truncates the skip"
+        );
+        assert_eq!(sim.cycle(), 512);
+        assert_eq!(
+            sim.skip_idle_cycles(10_000, &mut src),
+            900 - 512,
+            "the horizon bounds a generous budget"
+        );
+        assert_eq!(sim.cycle(), 900, "skip stops exactly at the horizon");
+        // At the horizon itself nothing is provably idle.
+        assert_eq!(sim.skip_idle_cycles(10_000, &mut src), 0);
+    }
+
     fn pkt(id: u64, cycle: u64, src: u16, dest: u16, len: u8) -> Packet {
         // Low 32 bits of the id carry the creation cycle (see created_at_of).
         Packet::new(
@@ -2163,9 +2163,7 @@ mod tests {
         let mut src = ListSource {
             packets: vec![pkt(1, 0, 0, 1, 2), pkt(2, 4, 0, 1, 2)],
         };
-        let drained = sim
-            .run_to_quiescence_guarded(4000, &mut src)
-            .expect("no fatal error");
+        let drained = drain_guarded(&mut sim, &mut src, 4000).expect("no fatal error");
         assert!(sim.dead_links().contains(&link), "trojan link quarantined");
         assert_eq!(sim.stats().quarantined_links, 1);
         assert!(sim
@@ -2195,8 +2193,7 @@ mod tests {
         let mut src = ListSource {
             packets: vec![pkt(1, 0, 0, 1, 2)],
         };
-        let err = sim
-            .run_to_quiescence_guarded(4000, &mut src)
+        let err = drain_guarded(&mut sim, &mut src, 4000)
             .expect_err("livelock must be diagnosed, not spun through");
         let SimError::Stalled(report) = err else {
             panic!("expected a stall, got {err:?}");
@@ -2206,9 +2203,7 @@ mod tests {
         assert_eq!(culprit, link, "watchdog must blame the trojan link");
         sim.quarantine_link(culprit)
             .expect("one quarantine cannot disconnect the paper mesh");
-        let drained = sim
-            .run_to_quiescence_guarded(4000, &mut src)
-            .expect("clean after quarantine");
+        let drained = drain_guarded(&mut sim, &mut src, 4000).expect("clean after quarantine");
         assert!(drained);
         assert!(sim.stats().flits_conserved());
         assert!(sim.check_invariants().is_empty());
@@ -2230,9 +2225,7 @@ mod tests {
         let mut src = ListSource {
             packets: vec![pkt(1, 0, 0, 1, 2)],
         };
-        let err = sim
-            .run_to_quiescence_guarded(4000, &mut src)
-            .expect_err("the backstop must fire");
+        let err = drain_guarded(&mut sim, &mut src, 4000).expect_err("the backstop must fire");
         let SimError::Stalled(report) = err else {
             panic!("expected a stall, got {err:?}");
         };
@@ -2248,8 +2241,7 @@ mod tests {
             packets.push(pkt(i + 1, i, (i % 16) as u16, ((i * 5 + 2) % 16) as u16, 4));
         }
         let mut src = ListSource { packets };
-        let drained = sim
-            .run_to_quiescence_guarded(4000, &mut src)
+        let drained = drain_guarded(&mut sim, &mut src, 4000)
             .expect("a healthy mesh must not trip any guard");
         assert!(drained);
         assert_eq!(sim.stats().delivered_packets, 30);
@@ -2278,8 +2270,7 @@ mod tests {
             packets.push(p);
         }
         let mut src = ListSource { packets };
-        let drained = sim
-            .run_to_quiescence_guarded(20_000, &mut src)
+        let drained = drain_guarded(&mut sim, &mut src, 20_000)
             .expect("credit books must stay sound through the purge");
         assert!(drained, "mesh must drain after quarantine");
         assert!(sim.dead_links().contains(&link));

@@ -1926,7 +1926,7 @@ mod tests {
         let mut src = ListSource {
             packets: vec![pkt(1, 0, 0, 1, 2)],
         };
-        let result = sim.run_to_quiescence_guarded(5_000, &mut src);
+        let result = (0..5_000).try_for_each(|_| sim.try_step(&mut src));
         assert!(result.is_err(), "expected a stall, got {result:?}");
         let files: Vec<_> = std::fs::read_dir(&dir).unwrap().flatten().collect();
         assert_eq!(files.len(), 1, "one post-mortem snapshot");

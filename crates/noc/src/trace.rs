@@ -40,7 +40,7 @@ use crate::json::{self, json_labels, json_tagged, Blank, Codec, Fields, Json, Js
 use crate::telemetry::AlertClass;
 use crate::watchdog::StallKind;
 use noc_mitigation::{FaultClass, LobPlan};
-use noc_types::{Direction, FlitId, LinkId, NodeId, PacketId};
+use noc_types::{CoreId, Direction, FlitId, LinkId, Mesh, NodeId, PacketId};
 use std::collections::VecDeque;
 
 /// Which watchdog detector fired (the trace-side mirror of
@@ -539,17 +539,19 @@ impl TraceRecorder {
         out
     }
 
-    /// Serialise the buffered records in Chrome `trace_event` format.
-    pub fn to_chrome_trace(&self) -> String {
-        chrome_trace(self.buf.iter())
+    /// Serialise the buffered records in Chrome `trace_event` format, on
+    /// the routers and links of `mesh`, the mesh the run simulated.
+    pub fn to_chrome_trace(&self, mesh: &Mesh) -> String {
+        chrome_trace(self.buf.iter(), mesh)
     }
 }
 
 /// Render records in the Chrome `trace_event` JSON format (open the
 /// output in `chrome://tracing` or <https://ui.perfetto.dev>). Links and
 /// routers are presented as two "processes" with one "thread" per link /
-/// per router; one cycle maps to one microsecond of trace time.
-pub fn chrome_trace<'a>(records: impl Iterator<Item = &'a Record>) -> String {
+/// per router; one cycle maps to one microsecond of trace time. An
+/// injection lands on its core's router in `mesh`.
+pub fn chrome_trace<'a>(records: impl Iterator<Item = &'a Record>, mesh: &Mesh) -> String {
     use std::fmt::Write;
     let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
     out.push_str(
@@ -564,7 +566,9 @@ pub fn chrome_trace<'a>(records: impl Iterator<Item = &'a Record>) -> String {
         let (pid, tid) = match (r.link(), r.kind) {
             (Some(l), _) => (1, l.0 as u64),
             (None, TraceKind::FlitEjected { router, .. }) => (2, router.0 as u64),
-            (None, TraceKind::FlitInjected { core, .. }) => (2, (core / 4) as u64),
+            (None, TraceKind::FlitInjected { core, .. }) => {
+                (2, mesh.router_of_core(CoreId(core)).0 as u64)
+            }
             _ => (2, 0),
         };
         let _ = write!(
@@ -717,14 +721,19 @@ mod tests {
                 },
             },
         ];
-        let s = chrome_trace(recs.iter());
-        assert!(s.starts_with('{') && s.ends_with('}'));
-        let depth = s.chars().fold(0i32, |d, c| match c {
-            '{' | '[' => d + 1,
-            '}' | ']' => d - 1,
-            _ => d,
-        });
-        assert_eq!(depth, 0);
-        assert!(s.contains("\"tid\":3"));
+        // Core 5 sits on router 1 at four cores per router, on router 5
+        // at one.
+        for (mesh, router) in [(Mesh::paper(), 1), (Mesh::new(4, 4, 1), 5)] {
+            let s = chrome_trace(recs.iter(), &mesh);
+            assert!(s.starts_with('{') && s.ends_with('}'));
+            let depth = s.chars().fold(0i32, |d, c| match c {
+                '{' | '[' => d + 1,
+                '}' | ']' => d - 1,
+                _ => d,
+            });
+            assert_eq!(depth, 0);
+            assert!(s.contains("\"pid\":1,\"tid\":3,"), "{s}");
+            assert!(s.contains(&format!("\"pid\":2,\"tid\":{router},")), "{s}");
+        }
     }
 }
