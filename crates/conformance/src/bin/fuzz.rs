@@ -105,11 +105,19 @@ fn parse_sabotage(spec: &str) -> Result<Sabotage, String> {
     let (kind, arg) = spec
         .split_once(':')
         .ok_or_else(|| format!("sabotage spec '{spec}' needs kind:value"))?;
-    let n: u32 = arg.parse().map_err(|e| format!("{e}"))?;
+    let bad = |e: std::num::ParseIntError| format!("sabotage spec '{spec}': {e}");
+    let every = || match arg.parse().map_err(bad)? {
+        0 => Err(format!(
+            "sabotage spec '{spec}': the period must be at least 1"
+        )),
+        n => Ok(n),
+    };
     match kind {
-        "stall-sa" => Ok(Sabotage::StallSaRouter { router: n as u16 }),
-        "leak-credit" => Ok(Sabotage::LeakCredit { every: n }),
-        "overcount" => Ok(Sabotage::OvercountDelivered { every: n }),
+        "stall-sa" => Ok(Sabotage::StallSaRouter {
+            router: arg.parse().map_err(bad)?,
+        }),
+        "leak-credit" => Ok(Sabotage::LeakCredit { every: every()? }),
+        "overcount" => Ok(Sabotage::OvercountDelivered { every: every()? }),
         other => Err(format!(
             "unknown sabotage kind '{other}' (stall-sa, leak-credit, overcount, over-skip)"
         )),
@@ -337,6 +345,28 @@ fn main() {
 mod tests {
     use super::*;
     use noc_sim::snapshot::crc64_portable;
+
+    #[test]
+    fn sabotage_specs_run_as_written_or_not_at_all() {
+        assert_eq!(
+            parse_sabotage("stall-sa:65535"),
+            Ok(Sabotage::StallSaRouter { router: 65535 })
+        );
+        assert_eq!(
+            parse_sabotage("leak-credit:3"),
+            Ok(Sabotage::LeakCredit { every: 3 })
+        );
+        assert_eq!(parse_sabotage("over-skip"), Ok(Sabotage::OverSkip));
+        for spec in [
+            "stall-sa:65536",
+            "leak-credit:0",
+            "overcount:0",
+            "overcount:-1",
+        ] {
+            let err = parse_sabotage(spec).expect_err(spec);
+            assert!(err.contains(spec), "{spec}: {err}");
+        }
+    }
 
     #[test]
     fn progress_record_keeps_its_layout_and_refuses_any_flipped_byte() {

@@ -1,7 +1,8 @@
 //! `conformance_repro` answers a scenario file with its exit code: 0 when
 //! the replay conforms, 2 when the file cannot be read or is not a
 //! scenario. Hostile files get a typed "not a scenario" answer, never a
-//! panic, an abort or a run of something else.
+//! panic, an abort or a run of something else. `fuzz` refuses a
+//! sabotage it cannot run as written the same way.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -129,6 +130,30 @@ fn hostile_files_exit_2_naming_the_fault() {
             mutated("\"stuck\":[]", "\"stuck\":[{\"link\":1,\"bit\":200}]"),
             "'stuck[0].bit'",
         ),
+        (
+            "stall_sa_router_999",
+            mutated(
+                "\"sabotage\":null",
+                "\"sabotage\":{\"kind\":\"stall_sa_router\",\"router\":999}",
+            ),
+            "'sabotage'",
+        ),
+        (
+            "leak_credit_every_0",
+            mutated(
+                "\"sabotage\":null",
+                "\"sabotage\":{\"kind\":\"leak_credit\",\"every\":0}",
+            ),
+            "'sabotage'",
+        ),
+        (
+            "overcount_every_0",
+            mutated(
+                "\"sabotage\":null",
+                "\"sabotage\":{\"kind\":\"overcount_delivered\",\"every\":0}",
+            ),
+            "'sabotage'",
+        ),
         ("not_json", "scenario".to_string(), "not a scenario"),
     ] {
         let path = dir.join(format!("{name}.json"));
@@ -147,4 +172,17 @@ fn hostile_files_exit_2_naming_the_fault() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("cannot read"));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn fuzz_refuses_a_sabotage_it_cannot_run() {
+    for spec in ["leak-credit:0", "overcount:0", "stall-sa:65536"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_fuzz"))
+            .args(["--cases", "0", "--sabotage", spec])
+            .output()
+            .expect("fuzz runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{spec}: {stderr}");
+        assert!(stderr.contains(spec), "{spec} must be named: {stderr}");
+    }
 }

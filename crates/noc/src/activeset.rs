@@ -28,6 +28,14 @@
 //! (a concurrent summary clear could lose a sibling's set); the serial
 //! [`ActiveSet::compact`] pass between cycles trims the summary level,
 //! after which [`ActiveSet::all_clear`] is exact.
+//!
+//! `set` reads each level before writing it and issues the locked
+//! read-modify-write only for a clear bit. A bit that reads set stays
+//! set for the rest of the group: within a group a bit is either only
+//! ever set, or set and cleared by its owning shard alone (which is the
+//! shard reading it), and summary bits fall only in the serial
+//! `compact`, `clear_all` and `set_all`. So skipping the write leaves
+//! both levels exactly as the unconditional `fetch_or` would.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -99,12 +107,15 @@ impl ActiveSet {
     }
 
     /// Mark id `i` active. Safe to call concurrently from any shard.
+    /// In a busy network most calls find both bits already up, so each
+    /// level is read first and written only when its bit is clear (see
+    /// module docs for why that is exact).
     #[inline]
     pub(crate) fn set(&self, i: usize) {
         debug_assert!(i < self.len);
         let w = i / WORD_BITS;
-        self.words[w].fetch_or(1u64 << (i % WORD_BITS), Ordering::Relaxed);
-        self.summary[w / WORD_BITS].fetch_or(1u64 << (w % WORD_BITS), Ordering::Relaxed);
+        set_bit(&self.words[w], 1u64 << (i % WORD_BITS));
+        set_bit(&self.summary[w / WORD_BITS], 1u64 << (w % WORD_BITS));
     }
 
     /// Mark id `i` inactive. Only the shard that owns `i` in the current
@@ -241,6 +252,15 @@ impl ActiveSet {
     }
 }
 
+/// Raise `bit` in `word`, with a locked instruction only when it reads
+/// clear.
+#[inline]
+fn set_bit(word: &AtomicU64, bit: u64) {
+    if word.load(Ordering::Relaxed) & bit == 0 {
+        word.fetch_or(bit, Ordering::Relaxed);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,6 +351,48 @@ mod tests {
         assert!(s.any_set());
         s.clear(257);
         assert!(!s.any_set());
+    }
+
+    #[test]
+    fn setting_a_set_bit_changes_neither_level() {
+        let mut s = ActiveSet::new_all_clear(130);
+        s.set(70);
+        let levels = |s: &mut ActiveSet| {
+            let words: Vec<u64> = s.words.iter_mut().map(|w| *w.get_mut()).collect();
+            let summary: Vec<u64> = s.summary.iter_mut().map(|w| *w.get_mut()).collect();
+            (words, summary)
+        };
+        let before = levels(&mut s);
+        assert_eq!(before, (vec![0, 1 << 6, 0], vec![0b10]));
+        s.set(70);
+        assert_eq!(levels(&mut s), before);
+        // A cleared bit in a word whose summary bit is still up: only
+        // the word level is written.
+        s.clear(70);
+        s.set(70);
+        assert_eq!(levels(&mut s), before);
+    }
+
+    #[test]
+    fn concurrent_sets_of_one_word_all_land() {
+        // Two threads set disjoint halves of one word (and so one
+        // summary bit), released together by a barrier.
+        let s = ActiveSet::new_all_clear(64);
+        let go = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for half in [0..32, 32..64] {
+                let (s, go) = (&s, &go);
+                scope.spawn(move || {
+                    go.wait();
+                    for i in half {
+                        s.set(i);
+                    }
+                });
+            }
+        });
+        assert_eq!(s.count(), 64);
+        assert_eq!(s.summary[0].load(Ordering::Relaxed), 1);
+        assert_eq!(collect(&s, 0..64), (0..64).collect::<Vec<_>>());
     }
 
     #[test]

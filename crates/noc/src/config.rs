@@ -199,12 +199,13 @@ impl SimConfig {
 
     /// Check the bounds the engine is built for: at least one VC, buffer
     /// slot, retransmission slot and retry; at most 64 (port, VC) pairs
-    /// per router, the width of the allocators' request masks; and two
-    /// VCs on a torus, for its dateline classes. [`Simulator::new`]
-    /// panics on some of these and the cycle loop silently misbehaves on
-    /// the rest, so a decoder of untrusted input calls this first. The
-    /// mesh builder enforces the mesh's own dimensions. Names the first
-    /// field out of bounds.
+    /// per router, the width of the allocators' request masks; two VCs
+    /// on a torus, for its dateline classes; and a sabotage that can
+    /// fire as written (a stalled router the mesh has, a period of at
+    /// least 1). [`Simulator::new`] panics on some of these and the
+    /// cycle loop silently misbehaves on the rest, so a decoder of
+    /// untrusted input calls this first. The mesh builder enforces the
+    /// mesh's own dimensions. Names the first field out of bounds.
     ///
     /// [`Simulator::new`]: crate::Simulator::new
     pub fn validate(&self) -> Result<(), ConfigError> {
@@ -212,6 +213,16 @@ impl SimConfig {
         let at_least_1 = "must be at least 1";
         let pairs = "(4 + concentration) x vcs exceeds 64";
         let dateline = "a torus needs 2, one per dateline class";
+        let (sabotage_ok, sabotage_what) = match self.sabotage {
+            Some(Sabotage::StallSaRouter { router }) => (
+                usize::from(router) < self.mesh.routers(),
+                "stall_sa_router names a router the mesh lacks",
+            ),
+            Some(Sabotage::LeakCredit { every } | Sabotage::OvercountDelivered { every }) => {
+                (every >= 1, "every must be at least 1")
+            }
+            Some(Sabotage::OverSkip) | None => (true, ""),
+        };
         [
             ("vcs", self.vcs >= 1, at_least_1),
             ("vcs", self.ports() * self.vcs as usize <= 64, pairs),
@@ -219,6 +230,7 @@ impl SimConfig {
             ("vc_depth", self.vc_depth >= 1, at_least_1),
             ("retx_depth", self.retx_depth >= 1, at_least_1),
             ("retry_budget", self.retry_budget != Some(0), at_least_1),
+            ("sabotage", sabotage_ok, sabotage_what),
         ]
         .into_iter()
         .find(|&(_, ok, _)| !ok)
@@ -325,11 +337,11 @@ mod tests {
 
     #[test]
     fn validate_names_the_first_field_out_of_bounds() {
-        let field = |edit: fn(&mut SimConfig)| {
+        fn field(edit: impl Fn(&mut SimConfig)) -> Result<(), &'static str> {
             let mut c = SimConfig::paper();
             edit(&mut c);
             c.validate().map_err(|e| e.field)
-        };
+        }
         assert_eq!(field(|_| {}), Ok(()));
         assert_eq!(SimConfig::paper_resilient().validate(), Ok(()));
         assert_eq!(field(|c| c.vcs = 0), Err("vcs"));
@@ -347,5 +359,20 @@ mod tests {
         assert_eq!(field(|c| c.retx_depth = 0), Err("retx_depth"));
         assert_eq!(field(|c| c.retry_budget = Some(0)), Err("retry_budget"));
         assert_eq!(field(|c| c.retry_budget = Some(1)), Ok(()));
+        // The paper mesh has routers 0..16.
+        let sabotage = |s| field(move |c| c.sabotage = Some(s));
+        assert_eq!(sabotage(Sabotage::StallSaRouter { router: 15 }), Ok(()));
+        assert_eq!(
+            sabotage(Sabotage::StallSaRouter { router: 16 }),
+            Err("sabotage")
+        );
+        assert_eq!(sabotage(Sabotage::LeakCredit { every: 1 }), Ok(()));
+        assert_eq!(sabotage(Sabotage::LeakCredit { every: 0 }), Err("sabotage"));
+        assert_eq!(sabotage(Sabotage::OvercountDelivered { every: 1 }), Ok(()));
+        assert_eq!(
+            sabotage(Sabotage::OvercountDelivered { every: 0 }),
+            Err("sabotage")
+        );
+        assert_eq!(sabotage(Sabotage::OverSkip), Ok(()));
     }
 }

@@ -126,10 +126,18 @@ pub struct InputUnit {
     /// Recently seen wire words by flit id (XOR keys for descrambling):
     /// a fixed-capacity insertion-ordered ring. A hash map here would
     /// re-table under constant fresh-key churn; at ≤ 64 entries a linear
-    /// scan is cheaper than hashing and never touches the allocator.
+    /// scan is cheaper than hashing and never touches the allocator once
+    /// the first insert has reserved the ring.
     pub(crate) seen_words: Vec<(FlitId, u64)>,
     /// Index of the oldest ring entry (the next eviction slot).
     pub(crate) seen_head: usize,
+    /// Routing epoch of the last remembered word, and how many of the
+    /// inserts since that epoch began must still search the ring for
+    /// their id (see [`InputUnit::remember_word`]). Derived, never
+    /// serialized: a restore bumps the routing epoch, so the search
+    /// window starts again.
+    pub(crate) ring_epoch: u32,
+    pub(crate) ring_searches: usize,
     /// Monotonic wire-acceptance counter for order stamps.
     pub(crate) next_order: u64,
     /// Last fault classification reported for the guarded link (event
@@ -151,8 +159,10 @@ impl InputUnit {
             detector,
             delayed: Vec::new(),
             pending_scrambles: Vec::new(),
-            seen_words: Vec::with_capacity(SEEN_WORDS_CAP),
+            seen_words: Vec::new(),
             seen_head: 0,
+            ring_epoch: 0,
+            ring_searches: 0,
             next_order: 0,
             reported_class: noc_mitigation::FaultClass::None,
             occupancy_high_water: 0,
@@ -191,11 +201,37 @@ impl InputUnit {
         self.delayed.iter().map(|d| d.ready).min()
     }
 
-    /// Record a delivered flit's word for later descrambling use.
-    pub fn remember_word(&mut self, id: FlitId, word: u64) {
-        if let Some(e) = self.seen_words.iter_mut().find(|e| e.0 == id) {
-            e.1 = word;
-        } else if self.seen_words.len() < SEEN_WORDS_CAP {
+    /// Record an accepted flit's word for later descrambling use.
+    ///
+    /// Under one loop-free routing function a flit crosses a link at
+    /// most once, and an accepted flit is never sent again, so its id is
+    /// new to the ring and the insert needs no search. Only a routing
+    /// change (`routing_epoch`) can walk a flit back over a link it
+    /// crossed before: for the `SEEN_WORDS_CAP` inserts after one, the
+    /// ring may still hold the id, so those inserts search it and keep
+    /// the entry they find. After that many inserts every entry from
+    /// before the change has been evicted. DESIGN §16 has the argument.
+    pub fn remember_word(&mut self, id: FlitId, word: u64, routing_epoch: u32) {
+        if self.ring_epoch != routing_epoch {
+            self.ring_epoch = routing_epoch;
+            self.ring_searches = SEEN_WORDS_CAP;
+        }
+        if self.ring_searches > 0 {
+            self.ring_searches -= 1;
+            if let Some(e) = self.seen_words.iter_mut().find(|e| e.0 == id) {
+                e.1 = word;
+                return;
+            }
+        }
+        debug_assert!(
+            self.lookup_word(id).is_none(),
+            "{id:?} accepted twice on one input unit under one routing function"
+        );
+        if self.seen_words.len() < SEEN_WORDS_CAP {
+            // Units that never accept a flit (local ports, mesh edges)
+            // never pay for the ring; a no-op once it is reserved.
+            self.seen_words
+                .reserve_exact(SEEN_WORDS_CAP - self.seen_words.len());
             self.seen_words.push((id, word));
         } else {
             self.seen_words[self.seen_head] = (id, word);
@@ -336,14 +372,54 @@ mod tests {
     #[test]
     fn seen_words_are_bounded() {
         let mut u = unit();
-        for i in 0..(SEEN_WORDS_CAP as u64 + 10) {
-            u.remember_word(FlitId(i), i);
+        assert_eq!(u.seen_words.capacity(), 0, "reserved on first insert");
+        for i in 0..200 {
+            u.remember_word(FlitId(i), i * 3, 0);
         }
-        assert!(u.lookup_word(FlitId(0)).is_none(), "oldest evicted");
+        assert_eq!(u.seen_words.len(), SEEN_WORDS_CAP);
+        assert_eq!(u.seen_head, 200 % SEEN_WORDS_CAP);
+        assert!(u.seen_ring_is_reachable());
+        // Oldest first from the head: the last 64 ids, in insert order.
+        let order: Vec<u64> = (0..SEEN_WORDS_CAP)
+            .map(|k| u.seen_words[(u.seen_head + k) % SEEN_WORDS_CAP].0 .0)
+            .collect();
         assert_eq!(
-            u.lookup_word(FlitId(SEEN_WORDS_CAP as u64 + 9)),
-            Some(SEEN_WORDS_CAP as u64 + 9)
+            order,
+            (200 - SEEN_WORDS_CAP as u64..200).collect::<Vec<_>>()
         );
+        assert!(u.lookup_word(FlitId(135)).is_none(), "oldest evicted");
+        assert_eq!(u.lookup_word(FlitId(136)), Some(408));
+    }
+
+    #[test]
+    fn a_routing_change_searches_the_next_cap_inserts() {
+        let mut u = unit();
+        for i in 0..10 {
+            u.remember_word(FlitId(i), i, 0);
+        }
+        // After a reroute a flit may cross this link again: the insert
+        // finds its entry and leaves the ring as it was.
+        let before = u.seen_words.clone();
+        u.remember_word(FlitId(3), 3, 1);
+        assert_eq!(u.seen_words, before);
+        assert_eq!(u.ring_searches, SEEN_WORDS_CAP - 1);
+        for i in 10..(9 + SEEN_WORDS_CAP as u64) {
+            u.remember_word(FlitId(i), i, 1);
+        }
+        assert_eq!(u.ring_searches, 0, "the window is SEEN_WORDS_CAP inserts");
+        assert!(
+            u.lookup_word(FlitId(8)).is_none(),
+            "every older entry evicted"
+        );
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "accepted twice")]
+    fn a_second_accept_under_one_routing_function_is_a_bug() {
+        let mut u = unit();
+        u.remember_word(FlitId(7), 7, 0);
+        u.remember_word(FlitId(7), 7, 0);
     }
 
     #[test]
@@ -359,7 +435,7 @@ mod tests {
         });
         u.resolve_scrambles(11);
         assert_eq!(u.pending_scrambles.len(), 1, "partner unknown: still held");
-        u.remember_word(FlitId(99), 0xABCD);
+        u.remember_word(FlitId(99), 0xABCD, 0);
         u.resolve_scrambles(12);
         assert!(u.pending_scrambles.is_empty());
         assert_eq!(u.delayed.len(), 1);

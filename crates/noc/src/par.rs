@@ -330,7 +330,8 @@ pub(crate) struct PhaseCtx<'a> {
     pub cfg: &'a SimConfig,
     pub mesh: &'a Mesh,
     pub routing: &'a Routing,
-    /// Version counter for `routing` (RC memo invalidation).
+    /// Version counter for `routing` (RC memo invalidation and the
+    /// descramble ring's search window).
     pub routing_epoch: u32,
     pub dead_links: &'a [LinkId],
     pub link_dead: &'a [bool],
@@ -587,7 +588,7 @@ fn handle_arrival(
 
     if accepted {
         wire_advance(unit, &lf);
-        unit.remember_word(lf.flit.id, lf.flit.word);
+        unit.remember_word(lf.flit.id, lf.flit.word, ctx.routing_epoch);
         let order = unit.take_order();
         match verdict.action {
             DetectorAction::AcceptObfuscated { penalty } => {
@@ -712,8 +713,11 @@ fn handle_arrival(
         ));
     }
     // Report classification changes (faults and obfuscation responses
-    // both move the detector's belief).
-    if mitigation {
+    // both move the detector's belief). A clean, un-obfuscated arrival
+    // changes no fault record and runs no BIST scan, so the class it
+    // would recompute is the one already reported (DESIGN §16).
+    let detector_moved = !matches!(decode, Decode::Clean { .. }) || lf.obf.is_some();
+    if mitigation && detector_moved {
         let unit = &mut ctx.routers.idx(dst.index()).inputs[in_port.index()];
         let class = unit.detector.link_class();
         if class != unit.reported_class {

@@ -197,6 +197,9 @@ pub struct Router {
     pub(crate) sa_arb: Vec<RoundRobin>,
     /// Crossbar traversals granted last cycle.
     pub st_pending: Vec<StMove>,
+    /// SA request masks, one per port (`4 + concentration` entries):
+    /// scratch rebuilt by every `sa_stage_into`, never serialized.
+    pub(crate) sa_req: Vec<u64>,
     /// Slots already committed to each network output by pending STs.
     pub(crate) pending_to_output: [u8; 4],
     /// SoA request-mask lanes mirroring the input VC state.
@@ -248,6 +251,7 @@ impl Router {
             va_arb: std::array::from_fn(|_| RoundRobin::new(requesters)),
             sa_arb: (0..ports).map(|_| RoundRobin::new(requesters)).collect(),
             st_pending: Vec::new(),
+            sa_req: vec![0; ports],
             pending_to_output: [0; 4],
             lanes: VcLanes::default(),
             // One byte per destination, allocated up front: the steady
@@ -606,9 +610,10 @@ impl Router {
         // cycle. Every predicate input is stable for the rest of the
         // stage — an SA grant only mutates the books of the output it
         // granted, and each output is visited exactly once — except the
-        // one-grant-per-input-port rule, enforced by clearing the
-        // winner's input-port bits from every mask.
-        let mut req = [0u64; 64];
+        // one-grant-per-input-port rule, enforced by masking the input
+        // ports that already won (`retired`) out of every later grant.
+        let req = &mut self.sa_req;
+        req.fill(0);
         if elig != 0 {
             // Without QoS domains every TDM slot is open; the per-flit
             // probe only matters under `QosMode::Tdm`.
@@ -662,24 +667,22 @@ impl Router {
         }
         #[cfg(any(test, debug_assertions))]
         debug_assert_eq!(
-            req,
-            self.reference_sa_req(cycle, cfg),
+            self.sa_req[..],
+            self.reference_sa_req(cycle, cfg)[..ports],
             "SA request masks diverged from the reference datapath"
         );
         // Visit output ports in rotating order for fairness.
         let first = (cycle as usize) % ports;
+        let mut retired = 0u64;
         for step in 0..ports {
             let q = (first + step) % ports;
             let out_port = Port::from_index(q);
-            if let Some(winner) = self.sa_arb[q].grant_masked(req[q]) {
+            if let Some(winner) = self.sa_arb[q].grant_masked(self.sa_req[q] & !retired) {
                 let (p, v) = (winner / vcs, winner % vcs);
                 let bit = 1u64 << winner;
                 self.local_grants |= 1u64 << p;
                 // One grant per input port: retire its other requesters.
-                let pmask = ((1u64 << vcs) - 1) << (p * vcs);
-                for m in req.iter_mut() {
-                    *m &= !pmask;
-                }
+                retired |= ((1u64 << vcs) - 1) << (p * vcs);
                 let out_vc = self.inputs[p].vcs[v].out_vc;
                 let flit = self.inputs[p].vcs[v]
                     .fifo

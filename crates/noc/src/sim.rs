@@ -114,10 +114,12 @@ impl TrafficSource for NoTraffic {
 /// ```
 pub struct Simulator {
     pub(crate) cfg: SimConfig,
-    /// [`crate::snapshot::config_hash`] of `cfg`, computed once: `cfg`
-    /// never changes after construction, and snapshot/restore need it on
-    /// every call. Derived state — never serialized.
-    pub(crate) config_hash: u64,
+    /// [`crate::snapshot::config_hash`] of `cfg`, computed by the first
+    /// snapshot or restore and kept: `cfg` never changes after
+    /// construction, and hashing its `Debug` text (link tables included)
+    /// is a large share of building a simulator that never checkpoints.
+    /// Derived state — never serialized.
+    pub(crate) config_hash: Option<u64>,
     pub(crate) mesh: Mesh,
     pub(crate) routing: Routing,
     /// Version counter for `routing`, bumped wherever the routing
@@ -293,7 +295,7 @@ impl Simulator {
             .collect();
         let orders = crate::par::link_orders(&plans, n_links);
         Self {
-            config_hash: crate::snapshot::config_hash(&cfg),
+            config_hash: None,
             cfg,
             mesh,
             routing,
@@ -873,7 +875,21 @@ impl Simulator {
 
     /// True when no flit remains anywhere. Stops at the first router
     /// holding a flit or the first non-empty injection queue.
+    ///
+    /// The parked routers, then the ones that may act, are probed first:
+    /// in a busy or sealed network one of them holds a flit, so "not
+    /// quiescent" costs one probe instead of a walk of the mesh. Only the
+    /// full scan answers true, so the answer stays exact.
     pub fn is_quiescent(&self) -> bool {
+        let mut holds = false;
+        for hint in [&self.parked, &self.router_set] {
+            hint.for_each_set_in(0..self.routers.len(), |r| {
+                holds = holds || self.routers[r].resident_flits() != 0;
+            });
+            if holds {
+                return false;
+            }
+        }
         self.routers.iter().all(|r| r.resident_flits() == 0)
             && self.inj_queues.iter().all(VecDeque::is_empty)
     }
@@ -949,10 +965,22 @@ impl Simulator {
     /// every router with phase work is in `router_set` or parked and
     /// blocked, no parked router would act at the next cycle by the
     /// reference oracles, and no blocked core has an admissible head.
+    /// Under mitigation it also checks that every input unit's reported
+    /// class is its detector's current class, which phase 1 recomputes
+    /// only after an arrival that can move it.
     #[cfg(any(test, debug_assertions))]
     fn audit_parking(&self) {
         let next = self.cycle;
         for (r, router) in self.routers.iter().enumerate() {
+            if self.cfg.mitigation {
+                for (p, unit) in router.inputs.iter().enumerate() {
+                    assert_eq!(
+                        unit.reported_class,
+                        unit.detector.link_class(),
+                        "router {r} port {p}: reported class is stale"
+                    );
+                }
+            }
             if self.router_set.get(r) {
                 continue;
             }
@@ -2507,6 +2535,30 @@ mod tests {
         assert_eq!(sim.metrics.links_csv(END), straight.metrics.links_csv(END));
         assert_eq!(sim.snapshot().to_bytes(), straight.snapshot().to_bytes());
         straight
+    }
+
+    #[test]
+    fn the_quiescence_probe_agrees_with_the_full_scan() {
+        let full_scan = |sim: &Simulator| sim.resident_flits() == 0 && sim.queued_flits() == 0;
+        let (mut sim, mut src, link) = sealing_flood();
+        let mut sealed = 0;
+        while sim.cycle() < 2_500 {
+            if sim.cycle() == 1_000 {
+                sim.quarantine_link(link)
+                    .expect("one dead link keeps the paper mesh connected");
+            }
+            sim.step(&mut src);
+            assert_eq!(sim.is_quiescent(), full_scan(&sim), "cycle {}", sim.cycle());
+            sealed += usize::from(sim.cycle() < 1_000 && sim.parked.count() > 0);
+        }
+        assert!(
+            sealed > 300,
+            "the flood seals the mesh ({sealed} parked cycles)"
+        );
+        assert!(
+            sim.is_quiescent(),
+            "the quarantine unseals the mesh and it drains"
+        );
     }
 
     #[test]

@@ -1447,6 +1447,14 @@ impl Persist for Simulator {
 // ---------------------------------------------------------------------
 
 impl Simulator {
+    /// [`config_hash`] of this simulator's configuration, hashed on the
+    /// first call and cached.
+    fn cached_config_hash(&mut self) -> u64 {
+        *self
+            .config_hash
+            .get_or_insert_with(|| config_hash(&self.cfg))
+    }
+
     /// Capture the complete simulator state as a [`SimSnapshot`].
     ///
     /// The capture is exact: restoring it (into this simulator or a fresh
@@ -1460,7 +1468,7 @@ impl Simulator {
         w.put(self);
         SimSnapshot {
             payload: w.into_bytes(),
-            config_hash: self.config_hash,
+            config_hash: self.cached_config_hash(),
             cycle: self.cycle,
             user_data: Vec::new(),
         }
@@ -1480,7 +1488,7 @@ impl Simulator {
     /// decode mutates in place): discard it and rebuild — which is what
     /// [`Checkpointer::load_latest`]-driven resume loops do anyway.
     pub fn restore(&mut self, snap: &SimSnapshot) -> Result<(), SnapshotError> {
-        let expected = self.config_hash;
+        let expected = self.cached_config_hash();
         if snap.config_hash != expected {
             return Err(SnapshotError::ConfigMismatch {
                 found: snap.config_hash,
@@ -1833,11 +1841,11 @@ mod tests {
         cfg.mesh = noc_types::Mesh::new_degraded(4, 4, 1, &[(NodeId(5), Direction::East)]);
         cfg.threads = Some(2);
         let mut sim = Simulator::new(cfg);
-        assert_eq!(sim.config_hash, config_hash(&sim.cfg));
+        assert_eq!(sim.config_hash, None, "hashed on first use");
         for threads in [1, 4] {
             sim.set_threads(threads);
-            assert_eq!(sim.config_hash, config_hash(&sim.cfg));
             assert_eq!(sim.snapshot().config_hash(), config_hash(&sim.cfg));
+            assert_eq!(sim.config_hash, Some(config_hash(&sim.cfg)));
         }
     }
 
