@@ -5,6 +5,7 @@
 
 use crate::table::{f, write_table};
 use htnoc_core::prelude::*;
+use htnoc_core::run_built;
 use htnoc_core::sweep::par_map;
 use noc_mitigation::{DetectorConfig, LobPlan};
 use noc_power::{CellLibrary, TaspPower};
@@ -69,21 +70,11 @@ fn retx_run(scheme: RetxScheme, strategy: Strategy) -> (u64, bool) {
     // Compile the scenario, then override the retransmission scheme.
     let mut cfg = sc.sim_config();
     cfg.retx_scheme = scheme;
-    let mut sim = Simulator::new(cfg);
-    for link in &sc.infected {
-        let ht = TaspHt::new(TaspConfig::new(sc.target.clone()));
-        sim.link_faults_mut(*link).trojan = Some(ht);
-    }
-    let mut traffic = sc.build_traffic(sim.mesh());
-    sim.run(sc.warmup, traffic.as_mut());
-    sim.arm_trojans(true);
-    while sim.cycle() < sc.max_cycles {
-        sim.step(traffic.as_mut());
-        if traffic.done() && sim.is_quiescent() {
-            break;
-        }
-    }
-    (sim.cycle(), sim.is_quiescent())
+    let sim = sc
+        .try_build_sim_with(cfg)
+        .expect("no reroute to disconnect the mesh");
+    let r = run_built(&sc, sim);
+    (r.cycles, r.drained)
 }
 
 /// Retransmission-buffer placement (shared at the output — the paper's

@@ -41,7 +41,9 @@
 use noc_sim::json::Json;
 use noc_sim::routing::xy_direction;
 use noc_sim::telemetry::{GROUP_COUNT, GROUP_LABELS, PHASE_COUNT, PHASE_LABELS};
-use noc_sim::{SimConfig, SimSnapshot, Simulator, TelemetryConfig, TrafficSource};
+use noc_sim::{
+    Cue, Landing, SimConfig, SimSnapshot, Simulator, Stop, TelemetryConfig, TrafficSource,
+};
 use noc_traffic::{AppModel, AppSpec, Pattern, SyntheticTraffic};
 use noc_trojan::{TargetSpec, TaspConfig, TaspHt};
 use noc_types::{Direction, Mesh, NodeId};
@@ -111,19 +113,18 @@ fn peak_rss_kb() -> u64 {
         .unwrap_or(0)
 }
 
-/// Drive `sim` for exactly `budget` cycles, draining events as we go so
-/// the event queue cannot grow without bound. When the simulator's
-/// fast-forward engine is enabled, provably idle stretches are skipped
-/// in one bounded hop; the horizon probe is the cheapest reject in
-/// `skip_window`, so busy scenarios pay roughly one branch per cycle.
+/// Drive `sim` to cycle `budget`, draining events as we go so the event
+/// queue cannot grow without bound. When the simulator's fast-forward
+/// engine is enabled, provably idle stretches are skipped in one bounded
+/// hop; the horizon probe is the cheapest reject in `skip_window`, so
+/// busy scenarios pay roughly one branch per cycle.
 fn drive(sim: &mut Simulator, traffic: &mut dyn TrafficSource, budget: u64) -> f64 {
     let t0 = Instant::now();
-    while sim.cycle() < budget {
-        if sim.skip_idle_cycles(budget - sim.cycle(), traffic) == 0 {
-            sim.step(traffic);
-            sim.drain_events();
-        }
-    }
+    let mut drain = |sim: &mut Simulator, _: &mut _, _: Landing| {
+        sim.drain_events();
+        Cue::Free
+    };
+    sim.drive(traffic, Stop::At(budget), &mut drain);
     t0.elapsed().as_secs_f64()
 }
 

@@ -13,7 +13,7 @@
 
 use crate::table::write_table;
 use htnoc_core::prelude::*;
-use noc_sim::TrafficSource;
+use noc_sim::{Cue, Landing, Stop, TrafficSource};
 use noc_types::PacketId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -167,11 +167,13 @@ pub fn run_with_migration(migrate: bool, horizon: u64) -> MigrationOutcome {
     sim.run(warmup, &mut appsrc);
     sim.arm_trojans(true);
 
+    // The OS reads each cycle's new events; once a link is classified
+    // `HardwareTrojan`, it migrates the master to the far corner.
     let mut migrated_at = None;
-    while sim.cycle() < until {
-        sim.step(&mut appsrc);
+    let mut seen = sim.events().len();
+    let mut os = |sim: &mut Simulator, app: &mut MigratableApp, _: Landing| {
         if migrate && migrated_at.is_none() {
-            let classified = sim.events().iter().any(|e| {
+            let classified = sim.events()[seen..].iter().any(|e| {
                 matches!(
                     e,
                     SimEvent::LinkClassified {
@@ -180,14 +182,17 @@ pub fn run_with_migration(migrate: bool, horizon: u64) -> MigrationOutcome {
                     }
                 )
             });
+            seen = sim.events().len();
             if classified {
                 let now = sim.cycle();
                 // Move the master to the far corner, 200-cycle stall.
-                appsrc.migrate(now, NodeId(15), 200);
+                app.migrate(now, NodeId(15), 200);
                 migrated_at = Some(now - warmup);
             }
         }
-    }
+        Cue::Free
+    };
+    sim.drive(&mut appsrc, Stop::At(until), &mut os);
     // Drain.
     let drained = sim.run_to_quiescence(10_000, &mut appsrc);
     let peak_backlog = sim

@@ -1,18 +1,18 @@
 //! Lockstep differential driver: the optimized simulator vs. the
 //! reference oracle plus the network-wide invariant oracles.
 //!
-//! The driver steps the real [`Simulator`] cycle by cycle, drains its
-//! event stream, and every [`EPOCH`] cycles cross-checks the conserved
-//! quantities the oracle can predict exactly (offered traffic, counter
-//! monotonicity, fault-count bounds) alongside the full structural
-//! audit (`check_all_invariants`). At the end of the run it compares the
-//! complete [`Expectation`]: delivery maps, per-link fault counters,
-//! detector verdicts, and the quarantine set.
+//! The driver runs the real [`Simulator`] through [`Simulator::drive`],
+//! drains its event stream, and every [`EPOCH`] cycles cross-checks the
+//! conserved quantities the oracle can predict exactly (offered traffic,
+//! counter monotonicity, fault-count bounds) alongside the full
+//! structural audit (`check_all_invariants`). At the end of the run it
+//! compares the complete [`Expectation`]: delivery maps, per-link fault
+//! counters, detector verdicts, and the quarantine set.
 
 use crate::oracle::{Expectation, RefSim};
-use crate::scenario::Scenario;
+use crate::scenario::{ReplaySource, Scenario};
 use noc_mitigation::FaultClass;
-use noc_sim::{SimEvent, Simulator, TrafficSource};
+use noc_sim::{Cue, Landing, SimEvent, Simulator, Stop};
 use noc_types::LinkId;
 use std::collections::BTreeMap;
 
@@ -115,14 +115,15 @@ fn run_differential_inner(
     let mut quarantine_events: Vec<u16> = Vec::new();
     let mut mark = Watermark::default();
     let mut events = Vec::new();
-    let mut quiesced = false;
     // Forensics: the state at the newest epoch boundary that was still
     // fully conformant, frozen once the first divergence lands.
     let mut clean_snap = capture.then(|| sim.snapshot());
     let mut artifact: Option<noc_sim::SimSnapshot> = None;
 
-    while sim.cycle() < scenario.max_cycles {
-        sim.step(&mut source);
+    // At every cycle the run lands on, read the new events; at each epoch
+    // boundary, run the epoch checks and keep the state of the newest
+    // boundary that was still fully conformant.
+    let mut lockstep = |sim: &mut Simulator, _: &mut ReplaySource, landing: Landing| {
         let now = sim.cycle();
         sim.drain_events_into(&mut events);
         for ev in events.drain(..) {
@@ -143,7 +144,7 @@ fn run_differential_inner(
         }
         if now.is_multiple_of(EPOCH) {
             let before = div.len();
-            epoch_checks(&sim, &oracle, &exp, &mut mark, &mut div);
+            epoch_checks(sim, &oracle, &exp, &mut mark, &mut div);
             if capture && artifact.is_none() {
                 if div.len() > before {
                     artifact = clean_snap.take();
@@ -152,14 +153,11 @@ fn run_differential_inner(
                 }
             }
         }
-        if source.done() && sim.is_quiescent() {
-            quiesced = true;
-            break;
-        }
         // A conformance run that already diverged structurally will not
-        // get more informative; stop early to keep shrinking fast.
-        if div.len() >= 32 {
-            break;
+        // get more informative; stop early to keep shrinking fast. Like
+        // the drain, this is judged only after a step.
+        if landing != Landing::Skip && div.len() >= 32 {
+            return Cue::End;
         }
         // Fast-forward over provably idle stretches (bursty scenarios
         // leave the whole network quiescent between bursts), capped at
@@ -169,22 +167,17 @@ fn run_differential_inner(
         // state naive stepping would have — and an over-skipping engine
         // (the `Sabotage::OverSkip` self-test) swallows an injection the
         // oracle counts, surfacing as injection drift right here.
-        let cap = scenario.max_cycles.min((now / EPOCH + 1) * EPOCH);
-        if cap > now && sim.skip_idle_cycles(cap - now, &mut source) > 0 {
-            let landed = sim.cycle();
-            if landed.is_multiple_of(EPOCH) {
-                let before = div.len();
-                epoch_checks(&sim, &oracle, &exp, &mut mark, &mut div);
-                if capture && artifact.is_none() {
-                    if div.len() > before {
-                        artifact = clean_snap.take();
-                    } else {
-                        clean_snap = Some(sim.snapshot());
-                    }
-                }
-            }
-        }
-    }
+        Cue::Look((now / EPOCH + 1) * EPOCH)
+    };
+    // One step before the driver's first drain test, so a scenario with
+    // no packets still runs a cycle.
+    let quiesced = scenario.max_cycles > 0 && {
+        sim.step(&mut source);
+        let stop = Stop::Drained {
+            cap: scenario.max_cycles,
+        };
+        sim.drive(&mut source, stop, &mut lockstep)
+    };
 
     let end = sim.cycle();
     let before = div.len();

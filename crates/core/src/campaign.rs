@@ -14,10 +14,11 @@
 //!   guarded step audits periodically along the way).
 //!
 //! Every scenario, the alert [`baseline_uniform`] and the checkpointed
-//! flood run through one driver loop that takes a guarded step
-//! ([`Simulator::try_step`]) every cycle, so a deadlock surfaces as a
-//! structured [`StallReport`] the driver acts on (quarantine the culprit
-//! and resume) instead of a silent spin to the cycle cap. A scenario is
+//! flood run through the simulator's run driver ([`Simulator::drive`])
+//! with a guarded hook: a guarded step ([`Simulator::try_step`]) every
+//! cycle, so a deadlock surfaces as a structured [`StallReport`] the hook
+//! acts on (quarantine the culprit and resume) instead of a silent spin
+//! to the cycle cap. A scenario is
 //! its configuration, its traffic, a cycle cap and its cues: the scripted
 //! turns (a storm, an arming edge, a link death) with the stall policy
 //! that holds from each on. The [`trojan_flood`] scenario is the
@@ -31,8 +32,9 @@
 use noc_sim::fault::StuckWires;
 use noc_sim::routing::{xy_direction, xy_path, Routing};
 use noc_sim::{
-    Checkpointer, Persist, Reader, SimConfig, SimError, Simulator, SnapshotError, StallReport,
-    TelemetryConfig, TelemetryOut, TraceConfig, TraceSink, TrafficSource, WatchdogConfig, Writer,
+    Checkpointer, Hook, Landing, Persist, Reader, SimConfig, SimError, Simulator, SnapshotError,
+    StallReport, Stop, TelemetryConfig, TelemetryOut, TraceConfig, TraceSink, TrafficSource,
+    WatchdogConfig, Writer,
 };
 use noc_traffic::{Pattern, SyntheticTraffic};
 use noc_trojan::{TargetSpec, TaspConfig, TaspHt};
@@ -150,7 +152,7 @@ pub struct CheckpointOpts {
     /// Resume from the newest valid checkpoint in `dir` instead of
     /// starting at cycle 0.
     pub resume: bool,
-    /// Stop the driver loop when the simulator reaches this cycle, as a
+    /// Stop the run when the simulator reaches this cycle, as a
     /// crash would — the hook the kill-and-resume tests use. `None` runs
     /// to completion.
     pub halt_at: Option<u64>,
@@ -287,18 +289,16 @@ impl<'a> Run<'a> {
         SyntheticTraffic::new(self.sim.mesh().clone(), pattern, rate, self.seed).until(until)
     }
 
-    /// The guarded driver loop every scenario runs through, one cycle at
-    /// a time. Each cycle it plays the cues due, saves or halts at the
-    /// checkpoint cycles, pumps telemetry, stops once the cues are
-    /// played and the network has drained (or at `cap`), and otherwise
-    /// takes one guarded step, handling a stall by the current policy.
-    /// Then it audits the run ([`finish`]) and writes the final
+    /// Run the scenario through the simulator's driver
+    /// ([`Simulator::drive`]) with its [`Schedule`] as the hook, stopping
+    /// once the cues are played and the network has drained (or at
+    /// `cap`). Then audit the run ([`finish`]) and write the final
     /// telemetry.
     fn drive(
         self,
         mut traffic: SyntheticTraffic,
         cap: u64,
-        mut cues: Vec<Cue<'_>>,
+        cues: Vec<Cue<'_>>,
     ) -> Result<(ScenarioReport, Simulator), RunError> {
         let Run {
             name,
@@ -311,49 +311,24 @@ impl<'a> Run<'a> {
             Some(o) => Some((o, o.open(&mut sim, &mut stalls, &mut traffic)?)),
             None => None,
         };
-        let mut out = opts.telemetry_out;
-        let (mut policy, mut next) = (Fatal, 0);
-        let drained = loop {
-            let now = sim.cycle();
-            // A resumed run starts past the cues its checkpoint already
-            // holds the effect of: it takes their policy, not their action.
-            while let Some((at, then, act)) = cues.get_mut(next).filter(|c| c.0 <= now) {
-                if *at == now {
-                    act(&mut sim);
-                }
-                policy = *then;
-                next += 1;
-            }
-            if let Some((o, ck)) = &ckpt {
-                if o.every > 0 && now > 0 && now.is_multiple_of(o.every) {
-                    save(ck, &mut sim, &mut stalls, &mut traffic)?;
-                }
-                if o.halt_at.is_some_and(|h| now >= h) {
-                    return Err(RunError::Halted);
-                }
-            }
-            if let Some(out) = out.as_deref_mut().filter(|o| o.due(now)) {
-                // Telemetry IO must never kill a healthy simulation.
-                let _ = expose(out, name, &sim);
-            }
-            let drained = next == cues.len() && traffic.done() && sim.is_quiescent();
-            if drained || now >= cap {
-                break drained;
-            }
-            match sim.try_step(&mut traffic) {
-                Ok(()) => {}
-                Err(SimError::Stalled(report)) => {
-                    stalls.push(*report);
-                    handle_stall(&mut sim, &report, policy);
-                }
-                Err(err) => panic!("fatal simulator error at cycle {}: {err}", sim.cycle()),
-            }
+        let mut schedule = Schedule {
+            name,
+            cues,
+            policy: Fatal,
+            stalls,
+            ckpt,
+            out: opts.telemetry_out,
+            error: None,
         };
+        let drained = sim.drive(&mut traffic, Stop::Drained { cap }, &mut schedule);
+        if let Some(err) = schedule.error {
+            return Err(err);
+        }
         if let Some(t) = sim.tracer_mut() {
             t.close_sink();
         }
-        let rep = finish(name, seed, &sim, drained, stalls);
-        if let Some(out) = out {
+        let rep = finish(name, seed, &sim, drained, schedule.stalls);
+        if let Some(out) = schedule.out {
             if let Some(tel) = sim.telemetry() {
                 out.write_artifact("engine_trace.json", tel.engine_chrome_trace().as_bytes())
                     .map_err(RunError::Telemetry)?;
@@ -361,6 +336,84 @@ impl<'a> Run<'a> {
             expose(out, name, &sim).map_err(RunError::Telemetry)?;
         }
         Ok((rep, sim))
+    }
+}
+
+/// A run's part in the driver ([`Hook`]): at every cycle it plays the
+/// cues due, saves or halts at the checkpoint cycles and pumps
+/// telemetry; the next cue holds the drain stop. Every cycle takes a
+/// guarded step, and a stall is handled by the current policy.
+struct Schedule<'a, 's> {
+    name: &'static str,
+    /// The cues not yet played.
+    cues: Vec<Cue<'s>>,
+    policy: StallPolicy,
+    stalls: Vec<StallReport>,
+    ckpt: Option<(&'a CheckpointOpts, Checkpointer)>,
+    out: Option<&'a mut TelemetryOut>,
+    /// Why the run ended early: a failed save, or the halt.
+    error: Option<RunError>,
+}
+
+impl Hook<SyntheticTraffic> for Schedule<'_, '_> {
+    const GUARDED: bool = true;
+
+    fn at(
+        &mut self,
+        sim: &mut Simulator,
+        traffic: &mut SyntheticTraffic,
+        _: Landing,
+    ) -> noc_sim::Cue {
+        let now = sim.cycle();
+        // A resumed run starts past the cues its checkpoint already
+        // holds the effect of: it takes their policy, not their action.
+        while self.cues.first().is_some_and(|c| c.0 <= now) {
+            let (at, then, mut act) = self.cues.remove(0);
+            if at == now {
+                act(sim);
+            }
+            self.policy = then;
+        }
+        if let Some((o, ck)) = &self.ckpt {
+            if o.every > 0 && now > 0 && now.is_multiple_of(o.every) {
+                if let Err(err) = save(ck, sim, &mut self.stalls, traffic) {
+                    self.error = Some(err);
+                    return noc_sim::Cue::End;
+                }
+            }
+            if o.halt_at.is_some_and(|h| now >= h) {
+                self.error = Some(RunError::Halted);
+                return noc_sim::Cue::End;
+            }
+        }
+        if let Some(out) = self.out.as_deref_mut().filter(|o| o.due(now)) {
+            // Telemetry IO must never kill a healthy simulation.
+            let _ = expose(out, self.name, sim);
+        }
+        match self.cues.first() {
+            Some(cue) => noc_sim::Cue::Act(cue.0),
+            None => noc_sim::Cue::Free,
+        }
+    }
+
+    fn stalled(&mut self, sim: &mut Simulator, err: SimError) -> bool {
+        let SimError::Stalled(report) = err else {
+            panic!("fatal simulator error at cycle {}: {err}", sim.cycle());
+        };
+        self.stalls.push(*report);
+        if self.policy == Fatal {
+            panic!("unexpected stall: {report}");
+        }
+        let (router, dir) = report
+            .culprit()
+            .unwrap_or_else(|| panic!("stall names no culprit to quarantine: {report}"));
+        let link = sim
+            .mesh()
+            .link_out(router, dir)
+            .expect("a blamed output port always has a link");
+        sim.quarantine_link(link)
+            .unwrap_or_else(|e| panic!("quarantine of {link:?} failed: {e}"));
+        true
     }
 }
 
@@ -391,23 +444,6 @@ fn expose(out: &mut TelemetryOut, scenario: &str, sim: &Simulator) -> std::io::R
     let prom = sim.prometheus_text(&[("scenario", scenario)]);
     let alerts = sim.telemetry().map_or(0, |t| t.alerts().fired_total());
     out.write_now(sim.cycle(), &prom, None, alerts).map(drop)
-}
-
-fn handle_stall(sim: &mut Simulator, report: &StallReport, policy: StallPolicy) {
-    match policy {
-        Fatal => panic!("unexpected stall: {report}"),
-        QuarantineCulprit => {
-            let (router, dir) = report
-                .culprit()
-                .unwrap_or_else(|| panic!("stall names no culprit to quarantine: {report}"));
-            let link = sim
-                .mesh()
-                .link_out(router, dir)
-                .expect("a blamed output port always has a link");
-            sim.quarantine_link(link)
-                .unwrap_or_else(|e| panic!("quarantine of {link:?} failed: {e}"));
-        }
-    }
 }
 
 /// Final audit: drained, conserved, and invariant-clean — then report.

@@ -40,19 +40,20 @@ impl RunResult {
 /// Run the scenario: warm-up → arm kill switch → inject until the schedule
 /// ends → drain until quiescence or `max_cycles`.
 pub fn run_scenario(sc: &Scenario) -> RunResult {
-    let mut sim = sc.build_sim();
+    run_built(sc, sc.build_sim())
+}
+
+/// [`run_scenario`] on a simulator built from `sc` by
+/// [`Scenario::try_build_sim_with`], with a configuration value the
+/// scenario does not state overridden.
+pub fn run_built(sc: &Scenario, mut sim: Simulator) -> RunResult {
     let mut traffic = sc.build_traffic(sim.mesh());
-    // Clean warm-up.
+    // Clean warm-up; then the attacker throws the kill switch, and the
+    // schedule runs until the network drains or `max_cycles`.
     sim.run(sc.warmup, traffic.as_mut());
-    // The attacker throws the kill switch.
     sim.arm_trojans(true);
-    // Keep injecting per the schedule, then drain.
-    while sim.cycle() < sc.max_cycles {
-        sim.step(traffic.as_mut());
-        if traffic.done() && sim.is_quiescent() {
-            break;
-        }
-    }
+    let left = sc.max_cycles.saturating_sub(sim.cycle());
+    sim.run_to_quiescence(left, traffic.as_mut());
     finish(sim)
 }
 

@@ -30,7 +30,7 @@ pub mod sweep;
 pub mod viz;
 
 pub use campaign::{run_campaign, ScenarioReport};
-pub use experiment::{run_scenario, RunResult};
+pub use experiment::{run_built, run_scenario, RunResult};
 pub use infection::select_infected;
 pub use scenario::{Scenario, Strategy};
 

@@ -174,7 +174,13 @@ impl Scenario {
     /// [`noc_sim::SimError::MeshDisconnected`] when the rerouting
     /// baseline's dead-link set leaves some router pair unroutable.
     pub fn try_build_sim(&self) -> Result<Simulator, noc_sim::SimError> {
-        let mut sim = Simulator::new(self.sim_config());
+        self.try_build_sim_with(self.sim_config())
+    }
+
+    /// [`Scenario::try_build_sim`] from `cfg`, a [`Scenario::sim_config`]
+    /// with a value the scenario does not state overridden.
+    pub fn try_build_sim_with(&self, cfg: SimConfig) -> Result<Simulator, noc_sim::SimError> {
+        let mut sim = Simulator::new(cfg);
         for link in &self.infected {
             let cfg = TaspConfig::new(self.target.clone()).with_cooldown(self.cooldown);
             let ht = TaspHt::new(cfg);

@@ -1,4 +1,4 @@
-//! Fast-forward equivalence: the quiescence engine's `skip_idle_cycles`
+//! Fast-forward equivalence: the run driver's idle skip (`skip_idle_cycles`)
 //! must be indistinguishable from naive stepping — not "close", but
 //! bit-identical in every observable: the `SimStats` fingerprint, the
 //! encoded snapshot bytes, and (when the tracer is armed) the canonical
@@ -58,19 +58,17 @@ fn observe(sim: &mut Simulator) -> Observables {
     }
 }
 
-/// Run to exactly `max_cycles`, either naively or skipping every idle
-/// window it can prove. Both arms land on the same cycle by construction
-/// — the drained tail past quiescence is precisely where the skipping
-/// arm must leap in one hop while the naive arm grinds through it.
+/// Run to exactly `max_cycles`, either naively, one step a cycle (the
+/// reference), or through the run driver, which skips every idle window
+/// it can prove. Both arms land on the same cycle by construction — the
+/// drained tail past quiescence is precisely where the skipping arm must
+/// leap in one hop while the naive arm grinds through it.
 fn run_arm(sim: &mut Simulator, traffic: &mut dyn TrafficSource, max_cycles: u64, ff: bool) {
     sim.set_fast_forward(ff);
-    while sim.cycle() < max_cycles {
-        let skipped = if ff {
-            sim.skip_idle_cycles(max_cycles - sim.cycle(), traffic)
-        } else {
-            0
-        };
-        if skipped == 0 {
+    if ff {
+        sim.run(max_cycles - sim.cycle(), traffic);
+    } else {
+        while sim.cycle() < max_cycles {
             sim.step(traffic);
         }
     }

@@ -2,9 +2,9 @@
 //!
 //! [`crate::Simulator::try_step`], the simulator's one guarded entry
 //! point, returns these instead of panicking or silently spinning, so a
-//! driver looping over it can distinguish "the network stalled" from
-//! "the simulator's own state is corrupt" from "the requested
-//! degradation is impossible".
+//! guarded run of [`crate::Simulator::drive`] can distinguish "the
+//! network stalled" from "the simulator's own state is corrupt" from
+//! "the requested degradation is impossible".
 
 use crate::invariants::Violation;
 use crate::watchdog::StallReport;

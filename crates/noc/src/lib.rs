@@ -60,7 +60,7 @@ pub use error::SimError;
 pub use fault::LinkFaults;
 pub use message::SimEvent;
 pub use metrics::{LinkMetrics, MetricsRegistry, RouterMetrics};
-pub use sim::{Simulator, TrafficSource};
+pub use sim::{Cue, DynSource, Hook, Landing, Simulator, Stop, TrafficSource};
 pub use snapshot::{
     config_hash, Checkpointer, Codec, Persist, Reader, SimSnapshot, SnapshotError, Writer,
     SNAPSHOT_VERSION,

@@ -34,8 +34,8 @@ pub trait TrafficSource {
     /// Called once per cycle; push the packets to inject this cycle.
     fn poll(&mut self, cycle: u64, out: &mut Vec<Packet>);
 
-    /// True once the source will never produce another packet (lets
-    /// [`Simulator::run_to_quiescence`] terminate).
+    /// True once the source will never produce another packet (lets a
+    /// [`Stop::Drained`] run in [`Simulator::drive`] stop at the drain).
     fn done(&self) -> bool {
         false
     }
@@ -53,10 +53,11 @@ pub trait TrafficSource {
         Ok(())
     }
 
-    /// Event-horizon lookahead for [`Simulator::skip_idle_cycles`]: the
-    /// earliest cycle `>= now` at which polling this source may either
-    /// produce a packet or change its observable state (`done()`), when
-    /// polled cycle-by-cycle from `now`. `None` promises the source will
+    /// Event-horizon lookahead for the idle skip [`Simulator::drive`]
+    /// takes ([`Simulator::skip_idle_cycles`]): the earliest cycle
+    /// `>= now` at which polling this source may either produce a packet
+    /// or change its observable state (`done()`), when polled
+    /// cycle-by-cycle from `now`. `None` promises the source will
     /// never produce again *and* that `done()` is already at its final
     /// value. The default `Some(now)` declares no lookahead at all, which
     /// disables fast-forward for this source — always correct.
@@ -83,6 +84,99 @@ impl TrafficSource for NoTraffic {
     }
     fn next_injection_at(&self, _now: u64) -> Option<u64> {
         None
+    }
+}
+
+/// A source [`Simulator::drive`] can step: every sized
+/// [`TrafficSource`], and `dyn TrafficSource` itself.
+pub trait DynSource: TrafficSource {
+    /// This source as the trait object [`Simulator::step`] takes.
+    fn as_dyn(&mut self) -> &mut dyn TrafficSource;
+}
+
+impl<T: TrafficSource> DynSource for T {
+    fn as_dyn(&mut self) -> &mut dyn TrafficSource {
+        self
+    }
+}
+
+impl DynSource for dyn TrafficSource + '_ {
+    fn as_dyn(&mut self) -> &mut dyn TrafficSource {
+        self
+    }
+}
+
+/// Where [`Simulator::drive`] stops a run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stop {
+    /// At this cycle.
+    At(u64),
+    /// Once the source is done and the network holds no flit, with no
+    /// [`Cue::Act`] pending; at the cycle `cap` otherwise.
+    Drained {
+        /// The cycle the run stops at if it has not drained by then.
+        cap: u64,
+    },
+}
+
+/// How the driver reached the cycle it shows its [`Hook`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Landing {
+    /// The cycle the run started at.
+    Start,
+    /// One step.
+    Step,
+    /// An idle skip ([`Simulator::skip_idle_cycles`]).
+    Skip,
+}
+
+/// What a [`Hook`] asks of the driver at a cycle it is shown. A cue for
+/// the current cycle or an earlier one is no cue.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Cue {
+    /// Nothing is due: skip as far as the stop allows.
+    Free,
+    /// Show the hook this cycle: a skip ends there, but the run may stop
+    /// as drained before it.
+    Look(u64),
+    /// The hook acts at this cycle: a skip ends there, and the run does
+    /// not stop as drained before it.
+    Act(u64),
+    /// End the run at this cycle (a run that has drained here still
+    /// reports the drain).
+    End,
+}
+
+/// A caller's part in a run of [`Simulator::drive`]: it is shown the
+/// start and every cycle the run lands on, acts on the simulator and the
+/// caller's own source there, and names the next cycle it must see.
+/// `()` is the empty hook, and a closure is the hook of its [`Hook::at`].
+pub trait Hook<S: ?Sized> {
+    /// Step with [`Simulator::try_step`] and hand each error to
+    /// [`Hook::stalled`]. A guarded run steps every cycle and never
+    /// skips: the periodic invariant audit and the watchdog run inside
+    /// `try_step`.
+    const GUARDED: bool = false;
+
+    /// Shown the cycle the run is at, and how it got there.
+    fn at(&mut self, sim: &mut Simulator, source: &mut S, landing: Landing) -> Cue;
+
+    /// A guarded step failed with `err`; the simulator stays usable.
+    /// Return `true` to go on, `false` to end the run at this cycle.
+    fn stalled(&mut self, sim: &mut Simulator, err: SimError) -> bool {
+        panic!("guarded step failed at cycle {}: {err}", sim.cycle())
+    }
+}
+
+impl<S: ?Sized> Hook<S> for () {
+    fn at(&mut self, _: &mut Simulator, _: &mut S, _: Landing) -> Cue {
+        Cue::Free
+    }
+}
+
+impl<S: ?Sized, F: FnMut(&mut Simulator, &mut S, Landing) -> Cue> Hook<S> for F {
+    fn at(&mut self, sim: &mut Simulator, source: &mut S, landing: Landing) -> Cue {
+        self(sim, source, landing)
     }
 }
 
@@ -898,37 +992,75 @@ impl Simulator {
     // Execution
     // ------------------------------------------------------------------
 
-    /// Run for `cycles` cycles with the given traffic source. Provably
-    /// no-op stretches are fast-forwarded (see
-    /// [`Simulator::skip_idle_cycles`]); the final state is bit-identical
-    /// to naive stepping.
+    /// Run for `cycles` cycles with the given traffic source, through
+    /// [`Simulator::drive`].
     pub fn run(&mut self, cycles: u64, source: &mut dyn TrafficSource) {
-        let deadline = self.cycle.saturating_add(cycles);
-        while self.cycle < deadline {
-            if self.skip_idle_cycles(deadline - self.cycle, source) == 0 {
-                self.step(source);
-            }
-        }
+        self.drive(source, Stop::At(self.cycle.saturating_add(cycles)), &mut ());
     }
 
     /// Run until every injected flit is delivered (or `max_cycles` passes,
-    /// which indicates saturation/deadlock). Returns true on full drain.
+    /// which indicates saturation/deadlock), through [`Simulator::drive`].
+    /// Returns true on full drain.
     pub fn run_to_quiescence(&mut self, max_cycles: u64, source: &mut dyn TrafficSource) -> bool {
-        let deadline = self.cycle.saturating_add(max_cycles);
-        while self.cycle < deadline {
-            self.step(source);
-            if source.done() && self.is_quiescent() {
+        let cap = self.cycle.saturating_add(max_cycles);
+        self.drive(source, Stop::Drained { cap }, &mut ())
+    }
+
+    /// The run driver: every in-tree run advances through here. From the
+    /// current cycle it shows `hook` each cycle it lands on (the start,
+    /// then after every step or skip) and stops at the first of:
+    /// the drain, under [`Stop::Drained`] with no [`Cue::Act`] pending;
+    /// the hook's [`Cue::End`]; the stop cycle. Otherwise it skips idle
+    /// cycles ([`Simulator::skip_idle_cycles`]), never past the stop cycle
+    /// or the hook's cue, or takes one step; a guarded hook
+    /// ([`Hook::GUARDED`]) steps every cycle instead.
+    ///
+    /// The drain is tested before the first step, so a run that starts
+    /// drained takes none. A skip is always followed by a step: the drain
+    /// and the next skip are judged only at the start and after a step.
+    /// Skipped cycles are provable no-ops, so the end state is
+    /// bit-identical to naive stepping. Returns whether the run stopped
+    /// at the drain.
+    pub fn drive<S, H>(&mut self, source: &mut S, stop: Stop, hook: &mut H) -> bool
+    where
+        S: DynSource + ?Sized,
+        H: Hook<S>,
+    {
+        let (end, drain) = match stop {
+            Stop::At(cycle) => (cycle, false),
+            Stop::Drained { cap } => (cap, true),
+        };
+        let mut landing = Landing::Start;
+        loop {
+            let now = self.cycle;
+            let (cue, held, ends) = match hook.at(self, source, landing) {
+                Cue::Look(at) if at > now => (at, false, false),
+                Cue::Act(at) if at > now => (at, true, false),
+                Cue::End => (now, false, true),
+                _ => (u64::MAX, false, false),
+            };
+            let stepped = landing != Landing::Skip;
+            if drain && stepped && !held && source.done() && self.is_quiescent() {
                 return true;
             }
-            // Fast-forward only after the exit check: the skip gate
-            // requires an empty network and a future horizon, conditions
-            // under which the naive loop provably would not have exited
-            // during the skipped stretch (the source is not done).
-            if self.cycle < deadline {
-                self.skip_idle_cycles(deadline - self.cycle, source);
+            if ends || now >= end {
+                return false;
             }
+            let src = source.as_dyn();
+            landing = if H::GUARDED {
+                if let Err(err) = self.try_step(src) {
+                    if !hook.stalled(self, err) {
+                        return false;
+                    }
+                }
+                Landing::Step
+            } else if stepped && self.skip_idle_cycles(end.min(cue) - now, src) > 0 {
+                Landing::Skip
+            } else {
+                self.step(src);
+                Landing::Step
+            };
         }
-        source.done() && self.is_quiescent()
     }
 
     /// Advance one cycle: the eight phases in reverse pipeline order.
@@ -1914,6 +2046,23 @@ mod tests {
         }
     }
 
+    /// A guarded hook: it keeps the first error a step returns and ends
+    /// the run there.
+    struct Guard(Option<SimError>);
+
+    impl<S: ?Sized> Hook<S> for Guard {
+        const GUARDED: bool = true;
+
+        fn at(&mut self, _: &mut Simulator, _: &mut S, _: Landing) -> Cue {
+            Cue::Free
+        }
+
+        fn stalled(&mut self, _: &mut Simulator, err: SimError) -> bool {
+            self.0 = Some(err);
+            false
+        }
+    }
+
     /// Step guarded until `src` is spent and the network drains
     /// (`Ok(true)`), for at most `cycles` cycles (`Ok(false)`), or until
     /// the first error.
@@ -1921,14 +2070,11 @@ mod tests {
         sim: &mut Simulator,
         src: &mut dyn TrafficSource,
         cycles: u64,
-    ) -> Result<bool, crate::error::SimError> {
-        for _ in 0..cycles {
-            sim.try_step(src)?;
-            if src.done() && sim.is_quiescent() {
-                return Ok(true);
-            }
-        }
-        Ok(false)
+    ) -> Result<bool, SimError> {
+        let mut guard = Guard(None);
+        let cap = sim.cycle() + cycles;
+        let drained = sim.drive(src, Stop::Drained { cap }, &mut guard);
+        guard.0.map_or(Ok(drained), Err)
     }
 
     /// Injects nothing, and promises nothing before cycle `.0`.
@@ -1943,29 +2089,60 @@ mod tests {
 
     #[test]
     fn idle_skip_truncates_exactly_at_driver_deadlines() {
-        // A driver passes `deadline - now` as the limit (a checkpoint
-        // multiple, an arming edge, a halt). A skip must land exactly on
-        // that deadline, never a cycle past it, and otherwise stop
-        // exactly at the source's horizon.
+        // A skip must land exactly on the hook's next cue and on the stop
+        // cycle, never a cycle past either, and otherwise stop exactly at
+        // the source's horizon. The first step lets the conservative
+        // all-set bitmaps of a new simulator compact.
+        use Landing::{Skip, Start, Step};
         let mut sim = Simulator::new(SimConfig::paper_resilient());
         let mut src = QuietUntil(900);
-        // One settle step so the conservative all-set bitmaps compact.
-        sim.step(&mut src);
-        assert_eq!(sim.cycle(), 1);
-        assert_eq!(
-            sim.skip_idle_cycles(511, &mut src),
-            511,
-            "a mid-gap deadline truncates the skip"
-        );
-        assert_eq!(sim.cycle(), 512);
-        assert_eq!(
-            sim.skip_idle_cycles(10_000, &mut src),
-            900 - 512,
-            "the horizon bounds a generous budget"
-        );
-        assert_eq!(sim.cycle(), 900, "skip stops exactly at the horizon");
+        let mut seen = Vec::new();
+        let mut look_at_512 = |sim: &mut Simulator, _: &mut QuietUntil, landing: Landing| {
+            seen.push((sim.cycle(), landing));
+            Cue::Look(512)
+        };
+        sim.drive(&mut src, Stop::At(700), &mut look_at_512);
+        sim.drive(&mut src, Stop::At(902), &mut look_at_512);
+        let cue_then_stop = [(0, Start), (1, Step), (512, Skip), (513, Step), (700, Skip)];
+        let horizon = [(700, Start), (900, Skip), (901, Step), (902, Step)];
+        assert_eq!(seen, [&cue_then_stop[..], &horizon[..]].concat());
+        assert_eq!(sim.skipped_cycles(), 511 + 187 + 200);
         // At the horizon itself nothing is provably idle.
         assert_eq!(sim.skip_idle_cycles(10_000, &mut src), 0);
+    }
+
+    #[test]
+    fn a_pending_act_cue_holds_the_drain_stop() {
+        // An empty network and a done source: only the arming cue keeps
+        // the run going. It arms at 500, then stops after the step that
+        // follows the skip.
+        let mut sim = Simulator::new(SimConfig::paper());
+        let mut armed_at = None;
+        let mut arm_at_500 = |sim: &mut Simulator, _: &mut NoTraffic, _: Landing| {
+            if sim.cycle() == 500 {
+                sim.arm_trojans(true);
+                armed_at = Some(sim.cycle());
+            }
+            Cue::Act(500)
+        };
+        assert!(sim.drive(
+            &mut NoTraffic,
+            Stop::Drained { cap: 10_000 },
+            &mut arm_at_500
+        ));
+        assert_eq!((armed_at, sim.cycle()), (Some(500), 501));
+    }
+
+    #[test]
+    fn the_driver_tests_the_drain_before_its_first_step() {
+        // A run that starts drained with its source done takes no step:
+        // a campaign checkpoint can land on the drained cycle, and the
+        // resumed run must end there.
+        let mut sim = Simulator::new(SimConfig::paper());
+        assert!(sim.run_to_quiescence(100, &mut NoTraffic));
+        assert_eq!(sim.cycle(), 0);
+        assert!(drain_guarded(&mut sim, &mut NoTraffic, 100).expect("an idle mesh never stalls"));
+        assert_eq!(sim.cycle(), 0);
     }
 
     fn pkt(id: u64, cycle: u64, src: u16, dest: u16, len: u8) -> Packet {

@@ -56,9 +56,7 @@ fn main() {
     let mut traffic = sc.build_traffic(&mesh2);
     sim.run(sc.warmup, traffic.as_mut());
     sim.arm_trojans(true);
-    while sim.cycle() < sc.max_cycles {
-        sim.step(traffic.as_mut());
-    }
+    sim.run(sc.max_cycles - sim.cycle(), traffic.as_mut());
     let backlog: Vec<f64> = (0..16)
         .map(|r| {
             (0..4)
